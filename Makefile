@@ -1,7 +1,7 @@
 GO ?= go
 STAMP := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-.PHONY: all build test race bench bench-json bench-gate bench-baseline lint docs-check staticcheck test-differential fuzz-smoke api-check api-surface
+.PHONY: all build test race race-cpu bench bench-json bench-gate bench-baseline lint docs-check staticcheck test-differential fuzz-smoke api-check api-surface
 
 # The perf gate's benchmark selection and the packages that define them:
 # the exact-pipeline, portfolio, weighted min-cost, top-k ranking, and
@@ -32,6 +32,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The live-update path (database clones and index maintenance, delta IR
+# migration with the carried component split, the watch surface) under the
+# race detector at several GOMAXPROCS values: some of its races and
+# orderings only show with more than one processor, others only with one.
+race-cpu:
+	$(GO) test -race -cpu=1,2,4 ./api/ ./internal/db/ ./internal/witset/ ./internal/engine/
 
 # The randomized differential suites that pin pipeline ≡ monolithic solver
 # equivalence (solve, enumerate-minimum, responsibility) plus the

@@ -199,6 +199,10 @@ func TestSessionWatchConcurrentMutations(t *testing.T) {
 	type seen struct {
 		mu    sync.Mutex
 		lines []*Result
+		// subscribed is closed on the first Partial line: the snapshot
+		// solve has run, so the engine holds the IR the writers migrate.
+		subscribed chan struct{}
+		once       sync.Once
 	}
 	var (
 		wg      sync.WaitGroup
@@ -206,6 +210,7 @@ func TestSessionWatchConcurrentMutations(t *testing.T) {
 		errs    [watchers]error
 	)
 	for w := 0; w < watchers; w++ {
+		streams[w].subscribed = make(chan struct{})
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -220,12 +225,23 @@ func TestSessionWatchConcurrentMutations(t *testing.T) {
 					streams[w].mu.Lock()
 					streams[w].lines = append(streams[w].lines, r)
 					streams[w].mu.Unlock()
+					streams[w].once.Do(func() { close(streams[w].subscribed) })
 					return nil
 				})
 			if err != nil && ctx.Err() == nil {
 				errs[w] = err
 			}
 		}(w)
+	}
+	// Writers start only once every watcher has its snapshot line: before
+	// that the engine may hold no IR of the database, and a batch landing
+	// first would have nothing to delta-migrate.
+	for w := 0; w < watchers; w++ {
+		select {
+		case <-streams[w].subscribed:
+		case <-time.After(15 * time.Second):
+			t.Fatalf("watcher %d: no snapshot line within 15s", w)
+		}
 	}
 
 	// Writers insert disjoint two-edge chains, one new witness per batch:

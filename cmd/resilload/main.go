@@ -35,10 +35,11 @@
 //	                 (default 200)
 //
 // Each scenario is one (query, database) family from internal/datagen:
-// chain and confluence exercise the NP-hard portfolio path, components
-// the many-component heavy-tailed hypergraphs the kernel+decompose
-// pipeline splits and solves in parallel, perm and linear the specialized
-// PTIME solvers, weighted the min-cost pipeline under skewed per-tuple
+// chain exercises the NP-hard portfolio path, components the
+// many-component heavy-tailed hypergraphs the kernel+decompose pipeline
+// splits and solves in parallel, confluence (qACconf, PTIME by
+// Propositions 31/32) the network-flow solver, perm and linear the other
+// specialized PTIME solvers, weighted the min-cost pipeline under skewed per-tuple
 // deletion costs, and topk the shared-IR top-k responsibility ranking. The databases are registered once via PUT /v1/db/{name};
 // the request mix then cycles through the scenarios, so server-side
 // caches see a realistic mixture of repeated query classes. After the
@@ -266,7 +267,8 @@ func buildScenarios(list string, scale int, seed int64) ([]scenario, error) {
 				facts: renderFacts(datagen.ManyComponentChainDB(rng, 8*scale, 3, 14)),
 			}
 		},
-		// NP-hard: A–R–R–C confluences through shared middles.
+		// PTIME (Propositions 31/32, solved by network flow): A–R–R–C
+		// confluences through shared middles.
 		"confluence": func() scenario {
 			return scenario{
 				name:  "confluence",

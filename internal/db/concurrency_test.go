@@ -42,8 +42,8 @@ func TestConcurrentLookup(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Phase 2: mutate (re-arming the lazy rebuild), Freeze eagerly, then
-	// read concurrently again — no reader should see a stale index.
+	// Phase 2: mutate (patching the built index), Freeze, then read
+	// concurrently again — no reader should see a stale index.
 	d.AddNames("R", "a0", "fresh")
 	d.Freeze()
 	found := false
@@ -62,9 +62,8 @@ func TestConcurrentLookup(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRebuildAfterMutation pins the re-arming behavior: a Delete/RestoreTo
-// cycle (what VerifyContingency does) must invalidate and then rebuild the
-// positional indexes.
+// TestRebuildAfterMutation pins that a Delete/RestoreTo cycle (what
+// VerifyContingency does) keeps the built positional indexes current.
 func TestRebuildAfterMutation(t *testing.T) {
 	d := New()
 	tup := d.AddNames("R", "x", "y")

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -50,22 +51,32 @@ func (t Tuple) ConstSet() map[Value]bool {
 //
 // Concurrency: mutations (add/remove, reached via Database.Add / Delete /
 // RestoreTo) require exclusive access, but any number of goroutines may
-// read — including Lookup, whose lazy index rebuild is serialized by mu and
+// read — including Lookup, whose lazy index build is serialized by mu and
 // published through the ready flag, so concurrent readers of an unindexed
-// relation are safe. Database.Freeze performs every pending rebuild
+// relation are safe. Database.Freeze performs every pending build
 // eagerly, making a subsequently read-only database contention-free.
+//
+// Maintenance: once built, the index is kept current by add and remove,
+// which patch only the buckets of the changed tuple, and Clone carries it
+// to the copy. Buckets are shared between a relation and its clones, so
+// no bucket is ever written where another relation can see it: a clone's
+// buckets have their capacity clamped (its first append reallocates), and
+// remove always builds a fresh bucket.
 type Relation struct {
 	Name  string
 	Arity int
 
 	tuples map[Tuple]bool
-	// index[p][v] lists tuples whose p-th argument is v. It is rebuilt
-	// lazily: ready reports whether index matches tuples, and mu serializes
-	// the rebuild itself. ready.Store(true) after the index writes gives
-	// readers that observe ready the happens-before edge they need.
+	// index[p][v] lists tuples whose p-th argument is v, in no particular
+	// order. ready reports whether index matches tuples, and mu serializes
+	// the lazy build. ready.Store(true) after the index writes gives readers
+	// that observe ready the happens-before edge they need.
 	index [MaxArity]map[Value][]Tuple
 	ready atomic.Bool
 	mu    sync.Mutex
+	// patched counts the bucket entries copied by removals since the index
+	// was built or cloned; see unindex.
+	patched int
 }
 
 func newRelation(name string, arity int) *Relation {
@@ -93,7 +104,13 @@ func (r *Relation) add(t Tuple) bool {
 		return false
 	}
 	r.tuples[t] = true
-	r.ready.Store(false)
+	if r.ready.Load() {
+		for p := 0; p < r.Arity; p++ {
+			// A clamped (shared) bucket reallocates here; an owned one
+			// grows in place, past the length any clone was given.
+			r.index[p][t.Args[p]] = append(r.index[p][t.Args[p]], t)
+		}
+	}
 	return true
 }
 
@@ -102,8 +119,40 @@ func (r *Relation) remove(t Tuple) bool {
 		return false
 	}
 	delete(r.tuples, t)
-	r.ready.Store(false)
+	if r.ready.Load() {
+		r.unindex(t)
+	}
 	return true
+}
+
+// unindex drops t from its buckets. A bucket may be shared with a clone,
+// so the survivors are copied into a fresh bucket instead of shifted in
+// place. Removing from large buckets one tuple at a time would then cost
+// more than one rebuild of the whole index, so once the copies since the
+// last build exceed the relation's size (plus a small allowance, so tiny
+// relations keep patching) the index is dropped and rebuilt lazily by the
+// next reader.
+func (r *Relation) unindex(t Tuple) {
+	for p := 0; p < r.Arity; p++ {
+		r.patched += len(r.index[p][t.Args[p]])
+	}
+	if r.patched > len(r.tuples)+64 {
+		r.ready.Store(false)
+		r.index = [MaxArity]map[Value][]Tuple{}
+		return
+	}
+	for p := 0; p < r.Arity; p++ {
+		v := t.Args[p]
+		b := r.index[p][v]
+		i := slices.Index(b, t)
+		if len(b) == 1 {
+			delete(r.index[p], v)
+			continue
+		}
+		nb := make([]Tuple, 0, len(b)-1)
+		nb = append(nb, b[:i]...)
+		r.index[p][v] = append(nb, b[i+1:]...)
+	}
 }
 
 func (r *Relation) rebuild() {
@@ -123,7 +172,28 @@ func (r *Relation) rebuild() {
 			r.index[p][t.Args[p]] = append(r.index[p][t.Args[p]], t)
 		}
 	}
+	r.patched = 0
 	r.ready.Store(true)
+}
+
+// clone returns a copy of r that carries r's index when it is built,
+// sharing every bucket with its capacity clamped.
+func (r *Relation) clone() *Relation {
+	c := &Relation{Name: r.Name, Arity: r.Arity, tuples: maps.Clone(r.tuples)}
+	if !r.ready.Load() {
+		return c
+	}
+	for p := 0; p < r.Arity; p++ {
+		m := maps.Clone(r.index[p])
+		for v, b := range m {
+			if cap(b) != len(b) {
+				m[v] = b[:len(b):len(b)]
+			}
+		}
+		c.index[p] = m
+	}
+	c.ready.Store(true)
+	return c
 }
 
 // Lookup returns the tuples whose p-th argument equals v.
@@ -298,12 +368,12 @@ func (d *Database) RestoreTo(mark int) {
 	}
 }
 
-// Freeze eagerly rebuilds every relation's positional indexes. Lazy
-// rebuilds are individually safe for concurrent readers, but a caller about
-// to share d read-only across goroutines (the engine's solver portfolio,
-// witness enumeration for a shared IR) can Freeze first so no reader ever
-// contends on a rebuild. Mutating d afterwards is allowed and simply
-// re-arms the lazy rebuild.
+// Freeze eagerly builds every relation's positional indexes that are not
+// built yet. Lazy builds are individually safe for concurrent readers, but
+// a caller about to share d read-only across goroutines (the engine's
+// solver portfolio, witness enumeration for a shared IR) can Freeze first
+// so no reader ever contends on a build. Mutating d afterwards is allowed:
+// the mutation patches the built indexes.
 func (d *Database) Freeze() {
 	for _, r := range d.rels {
 		r.rebuild()
@@ -338,23 +408,19 @@ func (d *Database) AllTuples() []Tuple {
 	return out
 }
 
-// Clone returns a deep copy sharing no mutable state with d. The copy
-// keeps d's version (so a mutation lineage built by clone-then-mutate has
+// Clone returns a copy sharing no mutable state with d. The copy keeps
+// d's version (so a mutation lineage built by clone-then-mutate has
 // monotonically increasing versions, which the watch surface relies on)
 // but gets a fresh identity (UID), so cache keys never conflate the two.
+// Built relation indexes are carried over, so neither the copy nor d
+// rebuilds one after the other is mutated (see Relation).
 func (d *Database) Clone() *Database {
 	c := New()
 	c.version = d.version
-	c.names = append([]string(nil), d.names...)
-	for n, v := range d.index {
-		c.index[n] = v
-	}
+	c.names = slices.Clone(d.names)
+	c.index = maps.Clone(d.index)
 	for name, r := range d.rels {
-		cr := newRelation(name, r.Arity)
-		for t := range r.tuples {
-			cr.tuples[t] = true
-		}
-		c.rels[name] = cr
+		c.rels[name] = r.clone()
 	}
 	return c
 }

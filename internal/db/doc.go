@@ -19,10 +19,23 @@
 //     keys on. Clone returns a copy with a fresh UID.
 //   - Concurrency: mutations require exclusive access. Any number of
 //     goroutines may read concurrently, including Lookup: the lazy
-//     per-relation index rebuild is double-checked under a mutex and
+//     per-relation index build is double-checked under a mutex and
 //     published through an atomic ready flag. Freeze performs every
-//     pending rebuild eagerly so a read-only shared database never
+//     pending build eagerly so a read-only shared database never
 //     contends at all.
+//   - Index maintenance and bucket sharing: once a relation's index is
+//     built, Add/Remove (and Delete/RestoreTo) patch the changed tuple's
+//     buckets instead of invalidating the index, and Clone carries it.
+//     The copy shares every bucket slice with its source, so no bucket is
+//     ever written where another relation can see it: a clone's shared
+//     buckets have their capacity clamped to their length, so its first
+//     append to one reallocates, and a removal always builds a fresh
+//     bucket. An append may still grow a bucket in place past the length
+//     any clone was given, so appends stay amortized O(1). A clone and its
+//     source may therefore be mutated and read independently — a clone's
+//     mutations never change what its source's Lookup returns, and vice
+//     versa. A run of removals whose bucket copies would outweigh one
+//     rebuild drops the index instead, for the next reader to rebuild.
 //   - Restore stack: Delete records removed tuples so RestoreTo(mark) can
 //     undo them in LIFO order; solvers that probe deletions (flow
 //     variants, VerifyContingency) always restore before returning.

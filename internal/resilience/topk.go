@@ -234,8 +234,16 @@ func TopKResponsibilityFunc(ctx context.Context, inst *witset.Instance, d *db.Da
 		totalMin += cost
 	}
 
-	var entries []RankedTuple
-	keys := map[db.Tuple]string{}
+	// Rank on (k, rendered tuple) first; only the entries that survive the
+	// cut get their contingency set, the in-component Γ plus every other
+	// component's minimum set, which is O(ρ) per entry to assemble.
+	type entry struct {
+		rt    RankedTuple
+		key   string
+		comp  int
+		local []int32
+	}
+	var entries []entry
 	for ci, c := range comps {
 		for localT, gid := range c.Global {
 			if err := ctx.Err(); err != nil {
@@ -259,37 +267,41 @@ func TopKResponsibilityFunc(ctx context.Context, inst *witset.Instance, d *db.Da
 			if localK < 0 {
 				continue // not counterfactual under any contingency
 			}
-			kt := localK + totalMin - minCost[ci]
-			rt := RankedTuple{Tuple: inst.Tuple(gid), K: kt}
-			if kt > 0 {
-				gammaIDs := c.ToGlobal(localGamma)
-				for oi := range comps {
-					if oi != ci {
-						gammaIDs = append(gammaIDs, minIDs[oi]...)
-					}
-				}
-				rt.Gamma = inst.TupleSet(gammaIDs)
-			}
-			keys[rt.Tuple] = d.TupleString(rt.Tuple)
-			entries = append(entries, rt)
+			t := inst.Tuple(gid)
+			entries = append(entries, entry{
+				rt:    RankedTuple{Tuple: t, K: localK + totalMin - minCost[ci]},
+				key:   d.TupleString(t),
+				comp:  ci,
+				local: localGamma,
+			})
 		}
 	}
 
-	slices.SortFunc(entries, func(a, b RankedTuple) int {
-		if a.K != b.K {
-			if a.K < b.K {
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.rt.K != b.rt.K {
+			if a.rt.K < b.rt.K {
 				return -1
 			}
 			return 1
 		}
-		return strings.Compare(keys[a.Tuple], keys[b.Tuple])
+		return strings.Compare(a.key, b.key)
 	})
 	if k > 0 && k < len(entries) {
 		entries = entries[:k]
 	}
-	for i, rt := range entries {
+	for i, e := range entries {
 		if poll.Cancelled() {
 			return i, poll.Err()
+		}
+		rt := e.rt
+		if rt.K > 0 {
+			gammaIDs := comps[e.comp].ToGlobal(e.local)
+			for oi := range comps {
+				if oi != e.comp {
+					gammaIDs = append(gammaIDs, minIDs[oi]...)
+				}
+			}
+			rt.Gamma = inst.TupleSet(gammaIDs)
 		}
 		if err := emit(i, rt); err != nil {
 			return i, err

@@ -288,3 +288,49 @@ func TestTopKWeightedRanking(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKPrefixOfFullRanking pins the cut: for every k, the top-k
+// ranking is the first k entries of the uncapped (k = 0) ranking,
+// contingency sets included, on unweighted and weighted instances alike.
+// Contingency sets are assembled only for the entries a call returns, so
+// this is what keeps a capped call's Γ identical to the full ranking's.
+func TestTopKPrefixOfFullRanking(t *testing.T) {
+	ctx := context.Background()
+	q := cq.MustParse("qchain :- R(x,y), R(y,z)")
+	rng := rand.New(rand.NewSource(5004))
+	type instance struct {
+		inst *witset.Instance
+		d    *db.Database
+	}
+	var cases []instance
+	for round := 0; round < 6; round++ {
+		d := datagen.ManyComponentChainDB(rng, 2+round%3, 3, 8)
+		inst := buildInstance(t, q, d)
+		cases = append(cases, instance{inst, d})
+		wv := make([]int64, inst.NumTuples())
+		for id := range wv {
+			wv[id] = 1 + rng.Int63n(4)
+		}
+		winst, err := inst.WithWeights(wv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, instance{winst, d})
+	}
+	for ci, c := range cases {
+		full, err := TopKResponsibilityOnInstance(ctx, c.inst, c.d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= len(full)+1; k++ {
+			got, err := TopKResponsibilityOnInstance(ctx, c.inst, c.d, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full[:min(k, len(full))]
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("case %d (weighted %v), k=%d:\n got %v\nwant %v", ci, c.inst.Weights() != nil, k, got, want)
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package witset
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 
 	"repro/internal/ctxpoll"
 	"repro/internal/db"
@@ -10,17 +12,22 @@ import (
 )
 
 // Delta IR maintenance. A tuple insert or delete touches only the
-// witnesses that use that tuple, and eval.ForEachDeltaWitness enumerates
-// exactly those (semi-join against the one-tuple delta). ApplyDelta
-// therefore patches an existing instance instead of re-enumerating the
-// whole join: inserts append the new witnesses' rows (interning any tuples
-// first seen now), deletes remove one row per vanished witness, and every
-// derived structure (family, kernel, components) is left to be recomputed
-// lazily on the *new* instance — the old instance, which may be shared by
-// in-flight solvers, is never modified. Component-level reuse across the
-// mutation happens downstream: the engine fingerprints kernel components
-// by content, so components whose rows did not change hit the
-// component-result cache and only dirtied components are re-solved.
+// witnesses that use that tuple. ApplyDelta therefore patches an existing
+// instance instead of re-enumerating the whole join: an insert appends the
+// rows of the new witnesses, which eval.ForEachDeltaWitness enumerates
+// (semi-join against the one-tuple delta), interning tuples first seen
+// now; deleting an endogenous tuple drops the rows that contain its id,
+// and deleting an exogenous one (which occurs in no row) enumerates the
+// vanishing witnesses and drops one row per witness. The old instance,
+// which may be shared by in-flight solvers, is never modified.
+//
+// The component split carries over too. Minimum hitting sets add over
+// components, and a delta can only change the components its removed and
+// added rows touch: every other component of the base is shared by
+// pointer, memoized fingerprint included, and only the touched
+// components' surviving rows plus the new rows are decomposed afresh. The
+// engine then finds the untouched components in its component-result
+// cache and re-solves only the dirtied ones.
 
 // Mutation is one tuple-level database change, already resolved against
 // the post-mutation database's interner.
@@ -62,6 +69,10 @@ var ErrNeedRebuild = errors.New("witset: instance requires a full rebuild")
 // row — exactly like a tuple whose witnesses all vanished under Build's
 // keep filter — so families and bitsets stay well-formed.
 //
+// When base's component split has been computed, the new instance
+// carries it (see carrySplit): its Components equal a fresh Decompose of
+// its raw family, at the cost of the components the batch touched.
+//
 // Built instances with a keep filter must not be delta-maintained: the
 // filter is not recorded, so ApplyDelta would resurrect filtered
 // witnesses.
@@ -77,16 +88,18 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 	// Copy-on-write universe and rows: the base's slices are shared with
 	// every consumer of the base instance, so grow private copies.
 	tuples := append(make([]db.Tuple, 0, len(base.tuples)+len(muts)), base.tuples...)
-	idOf := make(map[db.Tuple]int32, len(base.idOf)+len(muts))
-	for t, id := range base.idOf {
-		idOf[t] = id
-	}
+	idOf := maps.Clone(base.idOf)
 	rows := append(make([][]int32, 0, len(base.rows)+len(muts)), base.rows...)
 	alive := make([]bool, len(rows))
 	for i := range alive {
 		alive[i] = true
 	}
 	liveCount := len(rows)
+	kill := func(i int) {
+		alive[i] = false
+		liveCount--
+		st.RowsRemoved++
+	}
 
 	intern := func(t db.Tuple) int32 {
 		id, ok := idOf[t]
@@ -98,9 +111,9 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 		return id
 	}
 
-	// byKey indexes live row contents for deletes (multiset semantics: one
-	// row per witness, identical contents kept separately). Built lazily on
-	// the first delete, maintained across subsequent inserts.
+	// byKey indexes live row contents for exogenous deletes (multiset
+	// semantics: one row per witness, identical contents kept separately).
+	// Built on the first such delete, maintained across later inserts.
 	var byKey map[string][]int
 	rowKey := func(row []int32) string {
 		b := make([]byte, 0, len(row)*4)
@@ -161,11 +174,26 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 			}
 			continue
 		}
-		// Delete: the vanishing witnesses are those of the pre-state that
-		// use the tuple, so enumerate before removing it.
 		if !work.Has(m.Tuple) {
 			continue // no-op delete
 		}
+		if !q.IsExogenous(m.Tuple.Rel) {
+			// Every witness that uses an endogenous tuple has the tuple's
+			// id in its row, and every row holding the id is such a
+			// witness; a tuple without an id occurs in no witness.
+			if id, ok := idOf[m.Tuple]; ok {
+				for i, row := range rows {
+					if alive[i] && slices.Contains(row, id) {
+						kill(i)
+					}
+				}
+			}
+			work.Remove(m.Tuple)
+			continue
+		}
+		// An exogenous tuple occurs in no row. The vanishing witnesses are
+		// those of the pre-state that use it, so enumerate before removing
+		// it and drop one row of equal content per witness.
 		if byKey == nil {
 			buildIndex()
 		}
@@ -199,9 +227,7 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 				i := idxs[len(idxs)-1]
 				idxs = idxs[:len(idxs)-1]
 				if alive[i] {
-					alive[i] = false
-					liveCount--
-					st.RowsRemoved++
+					kill(i)
 					found = true
 					break
 				}
@@ -242,5 +268,73 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 			out.rows = append(out.rows, row)
 		}
 	}
+	if sp := base.split.Load(); sp != nil {
+		out.split.Store(carrySplit(sp, rows, alive, len(base.rows), out))
+	}
 	return out, st, nil
+}
+
+// carrySplit derives out's component split from its base's split sp. rows
+// are the base's rows (the first nBase) followed by the delta's new rows,
+// and alive marks the survivors. The result equals
+// Decompose(out.Family(true)): a component none of whose rows died and
+// none of whose tuples occurs in a new row has the same rows in the same
+// order in out, so it is shared; the rest are re-decomposed from their
+// surviving rows and the new ones. The set of re-decomposed rows is closed
+// under sharing a tuple: a row sharing a tuple with a dirty component or a
+// new row belongs to that dirty component.
+func carrySplit(sp *componentSplit, rows [][]int32, alive []bool, nBase int, out *Instance) *componentSplit {
+	root := sp.roots()
+	var dirty Bits // indexed by a component's smallest id
+	mark := func(e int32) {
+		if int(e) < len(root) && root[e] >= 0 {
+			if dirty == nil {
+				dirty = NewBits(len(root))
+			}
+			dirty.Set(root[e])
+		}
+	}
+	touched := false
+	for i, row := range rows {
+		switch {
+		case i < nBase && !alive[i]:
+			mark(row[0]) // all of a row's ids lie in one component
+			touched = true
+		case i >= nBase && alive[i]:
+			for _, e := range row {
+				mark(e)
+			}
+			touched = true
+		}
+	}
+	if !touched {
+		return sp
+	}
+
+	// The rows to re-decompose, in out's row order: decompose orders each
+	// component's rows by size, ties in this order, as Family(true) does.
+	var sub [][]int32
+	for i, row := range rows {
+		if alive[i] && (i >= nBase || (dirty != nil && dirty.Has(root[row[0]]))) {
+			sub = append(sub, row)
+		}
+	}
+	fresh := decompose(sub, len(out.tuples), out.weights)
+
+	// Merge the clean components with the fresh ones, both ordered by
+	// smallest id.
+	comps := make([]*Component, 0, len(sp.comps)+len(fresh))
+	j := 0
+	for _, c := range sp.comps {
+		if dirty != nil && dirty.Has(c.Global[0]) {
+			continue
+		}
+		for j < len(fresh) && fresh[j].Global[0] < c.Global[0] {
+			comps = append(comps, fresh[j])
+			j++
+		}
+		comps = append(comps, c)
+	}
+	comps = append(comps, fresh[j:]...)
+	return &componentSplit{comps: comps}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -313,4 +314,179 @@ func TestKernelCtxCanceled(t *testing.T) {
 	if err != nil || k == nil {
 		t.Fatalf("KernelCtx after failed attempt: k=%v err=%v", k, err)
 	}
+}
+
+// TestCarriedSplitDifferential pins the component split ApplyDelta
+// carries across a delta: on every migrated instance, Components must
+// equal a fresh Decompose of the instance's raw family — same components
+// in the same order, same Global remaps, same normalized rows and costs —
+// and every memoized fingerprint, carried or new, must equal a fresh
+// rendering; the rows themselves must match a scratch Build, and
+// DiffComponents must count what fresh fingerprints count. Chains of random batches over the delta suite's query shapes
+// run on a small dense domain, where most batches merge or split
+// components, and on a clustered one, where every fact stays inside one
+// of many small clusters of constants: most components are untouched and
+// their carried pointers are what the comparison checks.
+func TestCarriedSplitDifferential(t *testing.T) {
+	queries := []string{
+		"qchain :- R(x,y), R(y,z)",
+		"qtri :- R(x,y), R(y,z), R(z,x)",
+		"qconf :- A(x), R(x,y), R(z,y), C(z)",
+		"qexo :- A(x), R(x,y)^x",
+	}
+	const steps = 400
+	ctx := context.Background()
+	migrated, carried := 0, 0
+	for qi, qs := range queries {
+		q := cq.MustParse(qs)
+		rels := relationsOf(q)
+		for di, shape := range []randomShape{{domain: 8, cluster: 8, facts: 12}, {domain: 60, cluster: 4, facts: 45}} {
+			rng := rand.New(rand.NewSource(int64(1000 + 10*qi + di)))
+			d := db.New()
+			for _, r := range rels {
+				for i := 0; i < shape.facts; i++ {
+					d.AddTuple(shape.tuple(rng, d, r))
+				}
+			}
+			inst, err := Build(ctx, q, d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < steps; step++ {
+				// Decompose and fingerprint the base so the delta has a
+				// split and keys to carry.
+				before := map[*Component]bool{}
+				for _, c := range inst.Components() {
+					inst.ComponentKey(c)
+					before[c] = true
+				}
+				batch := shape.batch(rng, d, rels)
+				work := d.Clone()
+				next, _, err := ApplyDelta(ctx, inst, work, batch)
+				if err != nil {
+					t.Fatalf("%s step %d: %v", qs, step, err)
+				}
+				d = work
+				if next.Unbreakable() {
+					if inst, err = Build(ctx, q, d, nil); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				migrated++
+				label := fmt.Sprintf("%s domain %d step %d", qs, shape.domain, step)
+				scratch, err := Build(ctx, q, d, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareInstances(t, label, 0, next, scratch)
+				got := next.Components()
+				want := Decompose(next.Family(true))
+				compareSplits(t, label, got, want)
+				for _, c := range got {
+					if before[c] {
+						carried++
+					}
+					if k, fresh := next.ComponentKey(c), next.renderKey(c); k != fresh {
+						t.Fatalf("%s: memoized key %q, fresh render %q", label, k, fresh)
+					}
+				}
+				if g, w := DiffComponents(inst, next), diffByRender(inst, next); g != w {
+					t.Fatalf("%s: DiffComponents = %d, fresh fingerprints differ on %d", label, g, w)
+				}
+				inst = next
+			}
+		}
+	}
+	if migrated < 3000 {
+		t.Fatalf("only %d migrated instances checked, want at least 3000", migrated)
+	}
+	if carried == 0 {
+		t.Fatal("no component was carried by pointer: the carried path never ran")
+	}
+	t.Logf("%d migrated instances, %d components carried by pointer", migrated, carried)
+}
+
+// diffByRender is DiffComponents computed from freshly rendered
+// fingerprints alone.
+func diffByRender(prev, cur *Instance) int {
+	prevKeys := map[string]int{}
+	for _, c := range prev.Components() {
+		prevKeys[prev.renderKey(c)]++
+	}
+	changed := 0
+	for _, c := range cur.Components() {
+		if k := cur.renderKey(c); prevKeys[k] > 0 {
+			prevKeys[k]--
+		} else {
+			changed++
+		}
+	}
+	return changed
+}
+
+// compareSplits fails unless two decompositions agree component by
+// component: Global remaps, normalized rows and costs.
+func compareSplits(t *testing.T, label string, got, want []*Component) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d components carried, %d decomposed", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if !slices.Equal(g.Global, w.Global) {
+			t.Fatalf("%s: component %d Global %v, want %v", label, i, g.Global, w.Global)
+		}
+		if g.Fam.N != w.Fam.N || len(g.Fam.Rows) != len(w.Fam.Rows) || !slices.Equal(g.Fam.W, w.Fam.W) {
+			t.Fatalf("%s: component %d family differs: N %d/%d, %d/%d rows, W %v/%v",
+				label, i, g.Fam.N, w.Fam.N, len(g.Fam.Rows), len(w.Fam.Rows), g.Fam.W, w.Fam.W)
+		}
+		for r := range g.Fam.Rows {
+			if !slices.Equal(g.Fam.Rows[r], w.Fam.Rows[r]) {
+				t.Fatalf("%s: component %d row %d = %v, want %v", label, i, r, g.Fam.Rows[r], w.Fam.Rows[r])
+			}
+		}
+	}
+}
+
+// randomShape draws facts over a domain of constants split into clusters
+// of cluster constants each: every fact takes all its arguments from one
+// cluster, so components never span clusters. Relations stay near facts
+// tuples each.
+type randomShape struct {
+	domain, cluster, facts int
+}
+
+func (sh randomShape) tuple(rng *rand.Rand, d *db.Database, r relInfo) db.Tuple {
+	base := sh.cluster * rng.Intn(sh.domain/sh.cluster)
+	tup := db.Tuple{Rel: r.name, Arity: uint8(r.arity)}
+	for i := 0; i < r.arity; i++ {
+		tup.Args[i] = d.Const(fmt.Sprint(base + rng.Intn(sh.cluster)))
+	}
+	return tup
+}
+
+// batch builds 1–3 mutations against d's current contents. A mutation
+// deletes a present fact with odds that grow with its relation's size and
+// otherwise inserts an absent one, so each relation stays near sh.facts
+// tuples however long the chain runs.
+func (sh randomShape) batch(rng *rand.Rand, d *db.Database, rels []relInfo) []Mutation {
+	tracked := d.Clone()
+	n := 1 + rng.Intn(3)
+	var out []Mutation
+	for len(out) < n {
+		r := rels[rng.Intn(len(rels))]
+		if rel := tracked.Rel(r.name); rel != nil && rng.Intn(2*sh.facts) < rel.Len() {
+			ts := rel.Tuples()
+			tup := ts[rng.Intn(len(ts))]
+			tracked.Remove(tup)
+			out = append(out, Mutation{Tuple: tup})
+			continue
+		}
+		if tup := sh.tuple(rng, tracked, r); !tracked.Has(tup) {
+			tracked.AddTuple(tup)
+			out = append(out, Mutation{Insert: true, Tuple: tup})
+		}
+	}
+	return out
 }

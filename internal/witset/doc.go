@@ -54,6 +54,8 @@
 //     component minima add: ρ(F) = Σ ρ(C), and the minimum hitting sets
 //     of F are exactly the unions of per-component minimum sets.
 //
-// Both halves are sync.Once-cached on the Instance, so solvers sharing a
-// cached IR also share its kernel and component split.
+// Both halves are computed once and cached on the Instance, so solvers
+// sharing a cached IR also share its kernel and component split. A delta
+// (ApplyDelta) carries the base's component split and fingerprints to the
+// new instance, re-decomposing only the components the batch touched.
 package witset

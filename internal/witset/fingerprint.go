@@ -23,7 +23,20 @@ import (
 // sorted, all framed unambiguously. Equal keys imply isomorphic hitting-
 // set instances over identical ground tuples (same ρ, and any optimum of
 // one is an optimum of the other).
+//
+// The key is rendered once per component and memoized on it; components
+// ApplyDelta carries across a delta keep theirs.
 func (in *Instance) ComponentKey(c *Component) string {
+	if k := c.key.Load(); k != nil {
+		return *k
+	}
+	k := in.renderKey(c)
+	c.key.Store(&k)
+	return k
+}
+
+// renderKey renders ComponentKey's fingerprint of c.
+func (in *Instance) renderKey(c *Component) string {
 	rowStrs := make([]string, len(c.Fam.Rows))
 	var b []byte
 	for i, row := range c.Fam.Rows {
@@ -67,12 +80,28 @@ func DiffComponents(prev, cur *Instance) int {
 	if prev == nil || cur == nil || prev.unbreakable || cur.unbreakable {
 		return 0
 	}
+	// A component ApplyDelta carried from prev to cur is the same pointer
+	// in both, at the same place in the order by smallest id: pair those
+	// off in one merged walk and compare fingerprints only for the rest.
+	pc := prev.Components()
 	prevKeys := map[string]int{}
-	for _, c := range prev.Components() {
-		prevKeys[prev.ComponentKey(c)]++
+	var rest []*Component
+	i := 0
+	for _, c := range cur.Components() {
+		for ; i < len(pc) && pc[i].Global[0] < c.Global[0]; i++ {
+			prevKeys[prev.ComponentKey(pc[i])]++
+		}
+		if i < len(pc) && pc[i] == c {
+			i++
+			continue
+		}
+		rest = append(rest, c)
+	}
+	for ; i < len(pc); i++ {
+		prevKeys[prev.ComponentKey(pc[i])]++
 	}
 	changed := 0
-	for _, c := range cur.Components() {
+	for _, c := range rest {
 		key := cur.ComponentKey(c)
 		if prevKeys[key] > 0 {
 			prevKeys[key]--

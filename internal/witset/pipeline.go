@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ctxpoll"
 )
@@ -250,6 +251,11 @@ type Component struct {
 	Fam *Family
 	// Global maps local element ids to global ids, strictly increasing.
 	Global []int32
+
+	// key memoizes Instance.ComponentKey. A component is shared by pointer
+	// only between instances that agree on the tuple of every id it uses
+	// (a delta's base and result), so one rendering serves all of them.
+	key atomic.Pointer[string]
 }
 
 // ToGlobal maps a set of local ids (as returned by a solver over Fam) back
@@ -270,10 +276,18 @@ func (c *Component) ToGlobal(local []int32) []int32 {
 // element id, and each component's family is rebuilt over a dense local
 // universe so downstream bitsets and CNF variable ranges stay small.
 func Decompose(f *Family) []*Component {
-	if len(f.Rows) == 0 {
+	return decompose(f.Rows, f.N, f.W)
+}
+
+// decompose is Decompose over a family given by its rows (sorted sets)
+// over a universe of n elements with costs w (nil: unit costs). Each
+// component's family orders its rows by size, ties in input order.
+// ApplyDelta calls it on the rows of the components a delta touched only.
+func decompose(rows [][]int32, n int, w []int64) []*Component {
+	if len(rows) == 0 {
 		return nil
 	}
-	parent := make([]int32, f.N)
+	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -285,7 +299,7 @@ func Decompose(f *Family) []*Component {
 		}
 		return x
 	}
-	for _, row := range f.Rows {
+	for _, row := range rows {
 		r0 := find(row[0])
 		for _, e := range row[1:] {
 			re := find(e)
@@ -308,7 +322,7 @@ func Decompose(f *Family) []*Component {
 	}
 	groups := map[int32]*group{}
 	var roots []int32
-	for _, row := range f.Rows {
+	for _, row := range rows {
 		r := find(row[0])
 		g, ok := groups[r]
 		if !ok {
@@ -348,10 +362,10 @@ func Decompose(f *Family) []*Component {
 			lrows[i] = lr
 		}
 		cf := NewFamily(lrows, len(global), false)
-		if f.W != nil {
+		if w != nil {
 			lw := make([]int64, len(global))
 			for li, e := range global {
-				lw[li] = f.W[e]
+				lw[li] = w[e]
 			}
 			cf.W = lw
 		}
@@ -361,4 +375,38 @@ func Decompose(f *Family) []*Component {
 		})
 	}
 	return out
+}
+
+// componentSplit is an instance's component split (Instance.Components).
+// Components are ordered by their smallest global id, which also names a
+// component across a delta: a component the delta leaves untouched keeps
+// its rows, its ids and so its smallest id.
+type componentSplit struct {
+	comps []*Component
+
+	rootOnce sync.Once
+	root     []int32
+}
+
+// roots maps every id to the smallest id of the component that contains
+// it, or -1 when the id occurs in no row; ids past the end of the slice
+// occur in no row either. It is built on first use, by the first delta
+// applied to the instance.
+func (sp *componentSplit) roots() []int32 {
+	sp.rootOnce.Do(func() {
+		n := int32(0)
+		for _, c := range sp.comps {
+			n = max(n, c.Global[len(c.Global)-1]+1)
+		}
+		sp.root = make([]int32, n)
+		for i := range sp.root {
+			sp.root[i] = -1
+		}
+		for _, c := range sp.comps {
+			for _, e := range c.Global {
+				sp.root[e] = c.Global[0]
+			}
+		}
+	})
+	return sp.root
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/ctxpoll"
@@ -38,10 +39,14 @@ type Instance struct {
 	// The kernel is cached under a mutex rather than a sync.Once so that a
 	// cancelled kernelization does not poison the cache: only successful
 	// results are stored, and the next caller simply retries.
-	kernMu    sync.Mutex
-	kern      *Kernel // kernelized normalized family (solve pipeline)
-	compsOnce sync.Once
-	comps     []*Component // components of the un-kernelized normalized family
+	kernMu sync.Mutex
+	kern   *Kernel // kernelized normalized family (solve pipeline)
+	// split holds the components of the un-kernelized normalized family:
+	// set once, by the first Components call or by ApplyDelta carrying the
+	// base instance's split across a delta. splitMu serializes the first
+	// computation.
+	splitMu sync.Mutex
+	split   atomic.Pointer[componentSplit]
 }
 
 // Build enumerates the witnesses of q over d and interns their endogenous
@@ -186,10 +191,11 @@ func (in *Instance) KernelCtx(ctx context.Context) (*Kernel, error) {
 }
 
 // Components returns the connected components of the instance's raw
-// (un-kernelized) family, computed at most once. This is the decomposition
-// the all-optima enumerator, responsibility, and the engine's solve
-// pipeline use: it preserves the full set of minimum hitting sets, which
-// kernelization's domination rule does not.
+// (un-kernelized) family, computed at most once, or carried over from the
+// base instance by ApplyDelta. This is the decomposition the all-optima
+// enumerator, responsibility, and the engine's solve pipeline use: it
+// preserves the full set of minimum hitting sets, which kernelization's
+// domination rule does not.
 //
 // The split runs on the raw family — linear to build, where the globally
 // normalized family pays a quadratic superset scan over every witness row
@@ -202,8 +208,17 @@ func (in *Instance) KernelCtx(ctx context.Context) (*Kernel, error) {
 // tolerates: components only need to be element-disjoint for their minima
 // and optima to combine.
 func (in *Instance) Components() []*Component {
-	in.compsOnce.Do(func() { in.comps = Decompose(in.Family(true)) })
-	return in.comps
+	if sp := in.split.Load(); sp != nil {
+		return sp.comps
+	}
+	in.splitMu.Lock()
+	defer in.splitMu.Unlock()
+	if sp := in.split.Load(); sp != nil {
+		return sp.comps
+	}
+	comps := Decompose(in.Family(true))
+	in.split.Store(&componentSplit{comps: comps})
+	return comps
 }
 
 // Family is a normalized set family over a dense element universe, stored
