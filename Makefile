@@ -1,7 +1,7 @@
 GO ?= go
 STAMP := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-.PHONY: all build test race race-cpu bench bench-json bench-gate bench-baseline lint docs-check staticcheck test-differential fuzz-smoke api-check api-surface
+.PHONY: all build test race race-cpu perfbench-check bench bench-json bench-gate bench-baseline lint docs-check staticcheck test-differential fuzz-smoke api-check api-surface
 
 # The perf gate's benchmark selection and the packages that define them:
 # the exact-pipeline, portfolio, weighted min-cost, top-k ranking, and
@@ -39,6 +39,13 @@ race:
 # orderings only show with more than one processor, others only with one.
 race-cpu:
 	$(GO) test -race -cpu=1,2,4 ./api/ ./internal/db/ ./internal/witset/ ./internal/engine/
+
+# The service benchmark is a module of its own (perfbench/go.mod), so the
+# root `go build ./...` and `go test ./...` skip it, yet its traced replay
+# calls the database, witness-set and engine internals directly. This vets
+# it and runs its tests against the current tree.
+perfbench-check:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # The randomized differential suites that pin pipeline ≡ monolithic solver
 # equivalence (solve, enumerate-minimum, responsibility) plus the

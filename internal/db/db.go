@@ -2,11 +2,13 @@ package db
 
 import (
 	"fmt"
-	"maps"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cow"
 )
 
 // Value is an interned constant of the active domain.
@@ -38,6 +40,30 @@ func NewTuple(rel string, args ...Value) Tuple {
 // Values returns the argument slice of t (length = arity).
 func (t Tuple) Values() []Value { return t.Args[:t.Arity] }
 
+// Hash returns a hash of t's arguments, spread over all 64 bits, for
+// maps split by key hash (cow.Map). Tuples of different relations with
+// equal arguments hash alike, which only places them in the same part.
+func (t Tuple) Hash() uint64 { return hashArgs(t.Args) }
+
+func hashArgs(a [MaxArity]Value) uint64 {
+	lo := uint64(uint32(a[0])) | uint64(uint32(a[1]))<<32
+	hi := uint64(uint32(a[2])) | uint64(uint32(a[3]))<<32
+	return cow.Mix(lo ^ cow.Mix(hi))
+}
+
+func hashValue(v Value) uint64 { return cow.Mix(uint64(uint32(v))) }
+
+// nameSeed seeds the interner's string hash. One seed serves every
+// database in the process, so a clone's parts hash alike to its source's.
+var nameSeed = maphash.MakeSeed()
+
+func hashName(s string) uint64 { return maphash.String(nameSeed, s) }
+
+// clampBucket is the index's share function: a bucket carried out of a
+// shared part gets its capacity clamped, so the next append to it
+// reallocates instead of writing where another relation can see.
+func clampBucket(b []Tuple) []Tuple { return b[:len(b):len(b)] }
+
 // ConstSet returns the set of distinct constants appearing in t.
 func (t Tuple) ConstSet() map[Value]bool {
 	s := make(map[Value]bool, t.Arity)
@@ -53,25 +79,30 @@ func (t Tuple) ConstSet() map[Value]bool {
 // RestoreTo) require exclusive access, but any number of goroutines may
 // read — including Lookup, whose lazy index build is serialized by mu and
 // published through the ready flag, so concurrent readers of an unindexed
-// relation are safe. Database.Freeze performs every pending build
-// eagerly, making a subsequently read-only database contention-free.
+// relation are safe — and clone it. Database.Freeze performs every
+// pending build eagerly, making a subsequently read-only database
+// contention-free.
 //
-// Maintenance: once built, the index is kept current by add and remove,
-// which patch only the buckets of the changed tuple, and Clone carries it
-// to the copy. Buckets are shared between a relation and its clones, so
-// no bucket is ever written where another relation can see it: a clone's
-// buckets have their capacity clamped (its first append reallocates), and
-// remove always builds a fresh bucket.
+// Storage is copy-on-write: the tuple set and each position's index map
+// are cow.Maps, which clone shares with the copy, and a write after a
+// clone copies only the part of a map it lands in (see package cow). Once
+// built, the index is kept current by add and remove, which patch only
+// the buckets of the changed tuple, and clone carries it. Buckets are
+// shared too, so no bucket is ever written where another relation can see
+// it: a bucket carried out of a shared part has its capacity clamped (its
+// next append reallocates), and remove always builds a fresh bucket.
 type Relation struct {
 	Name  string
 	Arity int
 
-	tuples map[Tuple]bool
-	// index[p][v] lists tuples whose p-th argument is v, in no particular
-	// order. ready reports whether index matches tuples, and mu serializes
-	// the lazy build. ready.Store(true) after the index writes gives readers
-	// that observe ready the happens-before edge they need.
-	index [MaxArity]map[Value][]Tuple
+	// tuples holds the relation's tuples by their arguments: Name and
+	// Arity are the same for all of them.
+	tuples cow.Map[[MaxArity]Value, struct{}]
+	// index[p] maps v to the tuples whose p-th argument is v, in no
+	// particular order. ready reports whether index matches tuples, and mu
+	// serializes the lazy build. ready.Store(true) after the index writes
+	// gives readers that observe ready the happens-before edge they need.
+	index [MaxArity]cow.Map[Value, []Tuple]
 	ready atomic.Bool
 	mu    sync.Mutex
 	// patched counts the bucket entries copied by removals since the index
@@ -80,45 +111,50 @@ type Relation struct {
 }
 
 func newRelation(name string, arity int) *Relation {
-	return &Relation{Name: name, Arity: arity, tuples: map[Tuple]bool{}}
+	return &Relation{Name: name, Arity: arity, tuples: cow.New[[MaxArity]Value, struct{}](0, hashArgs, nil)}
 }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.tuples.Len() }
 
 // Has reports membership.
-func (r *Relation) Has(t Tuple) bool { return r.tuples[t] }
+func (r *Relation) Has(t Tuple) bool {
+	return t.Rel == r.Name && int(t.Arity) == r.Arity && r.tuples.Has(t.Args)
+}
+
+// tuple returns the tuple of r with the given arguments.
+func (r *Relation) tuple(args [MaxArity]Value) Tuple {
+	return Tuple{Rel: r.Name, Arity: uint8(r.Arity), Args: args}
+}
 
 // Tuples returns all tuples in deterministic (sorted) order.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.tuples))
-	for t := range r.tuples {
-		out = append(out, t)
-	}
+	out := make([]Tuple, 0, r.tuples.Len())
+	r.tuples.Range(func(args [MaxArity]Value, _ struct{}) { out = append(out, r.tuple(args)) })
 	SortTuples(out)
 	return out
 }
 
 func (r *Relation) add(t Tuple) bool {
-	if r.tuples[t] {
+	if r.tuples.Has(t.Args) {
 		return false
 	}
-	r.tuples[t] = true
+	r.tuples.Set(t.Args, struct{}{})
 	if r.ready.Load() {
 		for p := 0; p < r.Arity; p++ {
-			// A clamped (shared) bucket reallocates here; an owned one
-			// grows in place, past the length any clone was given.
-			r.index[p][t.Args[p]] = append(r.index[p][t.Args[p]], t)
+			// A bucket carried out of a shared part is clamped and
+			// reallocates here; an owned one grows in place.
+			b, _ := r.index[p].GetOwned(t.Args[p])
+			r.index[p].Set(t.Args[p], append(b, t))
 		}
 	}
 	return true
 }
 
 func (r *Relation) remove(t Tuple) bool {
-	if !r.tuples[t] {
+	if !r.tuples.Delete(t.Args) {
 		return false
 	}
-	delete(r.tuples, t)
 	if r.ready.Load() {
 		r.unindex(t)
 	}
@@ -134,24 +170,25 @@ func (r *Relation) remove(t Tuple) bool {
 // next reader.
 func (r *Relation) unindex(t Tuple) {
 	for p := 0; p < r.Arity; p++ {
-		r.patched += len(r.index[p][t.Args[p]])
+		b, _ := r.index[p].Get(t.Args[p])
+		r.patched += len(b)
 	}
-	if r.patched > len(r.tuples)+64 {
+	if r.patched > r.tuples.Len()+64 {
 		r.ready.Store(false)
-		r.index = [MaxArity]map[Value][]Tuple{}
+		r.index = [MaxArity]cow.Map[Value, []Tuple]{}
 		return
 	}
 	for p := 0; p < r.Arity; p++ {
 		v := t.Args[p]
-		b := r.index[p][v]
-		i := slices.Index(b, t)
+		b, _ := r.index[p].Get(v)
 		if len(b) == 1 {
-			delete(r.index[p], v)
+			r.index[p].Delete(v)
 			continue
 		}
+		i := slices.Index(b, t)
 		nb := make([]Tuple, 0, len(b)-1)
 		nb = append(nb, b[:i]...)
-		r.index[p][v] = append(nb, b[i+1:]...)
+		r.index[p].Set(v, append(nb, b[i+1:]...))
 	}
 }
 
@@ -164,33 +201,35 @@ func (r *Relation) rebuild() {
 	if r.ready.Load() {
 		return
 	}
+	// Collect the buckets in plain maps, which the cow.Maps then take
+	// over as they are.
+	var idx [MaxArity]map[Value][]Tuple
 	for p := 0; p < r.Arity; p++ {
-		r.index[p] = make(map[Value][]Tuple, len(r.tuples))
+		idx[p] = make(map[Value][]Tuple, r.tuples.Len())
 	}
-	for t := range r.tuples {
+	r.tuples.Range(func(args [MaxArity]Value, _ struct{}) {
+		t := r.tuple(args)
 		for p := 0; p < r.Arity; p++ {
-			r.index[p][t.Args[p]] = append(r.index[p][t.Args[p]], t)
+			idx[p][args[p]] = append(idx[p][args[p]], t)
 		}
+	})
+	for p := 0; p < r.Arity; p++ {
+		r.index[p] = cow.From(idx[p], hashValue, clampBucket)
 	}
 	r.patched = 0
 	r.ready.Store(true)
 }
 
-// clone returns a copy of r that carries r's index when it is built,
-// sharing every bucket with its capacity clamped.
+// clone returns a copy of r sharing its tuple set and, when the index is
+// built, its index (see Relation). It writes nothing of r's but the
+// atomic marks that tell later writers what is shared.
 func (r *Relation) clone() *Relation {
-	c := &Relation{Name: r.Name, Arity: r.Arity, tuples: maps.Clone(r.tuples)}
+	c := &Relation{Name: r.Name, Arity: r.Arity, tuples: r.tuples.Clone()}
 	if !r.ready.Load() {
 		return c
 	}
 	for p := 0; p < r.Arity; p++ {
-		m := maps.Clone(r.index[p])
-		for v, b := range m {
-			if cap(b) != len(b) {
-				m[v] = b[:len(b):len(b)]
-			}
-		}
-		c.index[p] = m
+		c.index[p] = r.index[p].Clone()
 	}
 	c.ready.Store(true)
 	return c
@@ -199,7 +238,8 @@ func (r *Relation) clone() *Relation {
 // Lookup returns the tuples whose p-th argument equals v.
 func (r *Relation) Lookup(p int, v Value) []Tuple {
 	r.rebuild()
-	return r.index[p][v]
+	b, _ := r.index[p].Get(v)
+	return b
 }
 
 // DistinctAt returns the number of distinct values occurring at argument
@@ -208,15 +248,18 @@ func (r *Relation) Lookup(p int, v Value) []Tuple {
 // the cost-based join planner uses. Like Lookup it materialises the index.
 func (r *Relation) DistinctAt(p int) int {
 	r.rebuild()
-	return len(r.index[p])
+	return r.index[p].Len()
 }
 
 // Database is a set of relations plus a string-to-constant interner.
 // The zero value is not usable; call New.
 type Database struct {
-	rels  map[string]*Relation
-	names []string
-	index map[string]Value
+	rels map[string]*Relation
+	// names lists the constants by Value; consts inverts it. A clone
+	// shares names with its capacity clamped, so either side's next
+	// append reallocates or writes past what the other can see.
+	names  []string
+	consts cow.Map[string, Value]
 
 	// uid identifies this Database object for the lifetime of the process;
 	// version counts the tuple mutations applied to it. Together they key
@@ -237,9 +280,9 @@ var nextUID atomic.Uint64
 // New returns an empty database.
 func New() *Database {
 	return &Database{
-		rels:  map[string]*Relation{},
-		index: map[string]Value{},
-		uid:   nextUID.Add(1),
+		rels:   map[string]*Relation{},
+		consts: cow.New[string, Value](0, hashName, nil),
+		uid:    nextUID.Add(1),
 	}
 }
 
@@ -263,12 +306,12 @@ func (d *Database) SetVersion(v uint64) { d.version = v }
 
 // Const interns the constant with the given name.
 func (d *Database) Const(name string) Value {
-	if v, ok := d.index[name]; ok {
+	if v, ok := d.consts.Get(name); ok {
 		return v
 	}
 	v := Value(len(d.names))
 	d.names = append(d.names, name)
-	d.index[name] = v
+	d.consts.Set(name, v)
 	return v
 }
 
@@ -277,8 +320,7 @@ func (d *Database) Const(name string) Value {
 // for code probing a shared database it must not mutate (e.g. the serving
 // layer resolving tuples named in a request).
 func (d *Database) LookupConst(name string) (Value, bool) {
-	v, ok := d.index[name]
-	return v, ok
+	return d.consts.Get(name)
 }
 
 // ConstName returns the display name of v.
@@ -408,17 +450,35 @@ func (d *Database) AllTuples() []Tuple {
 	return out
 }
 
-// Clone returns a copy sharing no mutable state with d. The copy keeps
-// d's version (so a mutation lineage built by clone-then-mutate has
-// monotonically increasing versions, which the watch surface relies on)
-// but gets a fresh identity (UID), so cache keys never conflate the two.
-// Built relation indexes are carried over, so neither the copy nor d
-// rebuilds one after the other is mutated (see Relation).
+// Clone returns a copy of d that later mutations of either side do not
+// affect. The copy keeps d's version (so a mutation lineage built by
+// clone-then-mutate has monotonically increasing versions, which the
+// watch surface relies on) but gets a fresh identity (UID), so cache keys
+// never conflate the two.
+//
+// The copy shares d's storage instead of copying it. Every relation's
+// tuple set and built index, and the constant interner, are cow.Maps,
+// which both sides share until one of them writes: a write copies only
+// the page and part of the map it lands in, about ∛n entries each for a
+// map of n, and the first write to a map that was never split splits it
+// first, once, at O(n). The constant names are shared with their capacity
+// clamped, so the copy's first new constant copies them. Clone itself
+// costs O(∛n) per relation map and the interner, so a clone-then-mutate
+// lineage (the serving layer's live updates) pays O(∛n + batch) per
+// version. Built indexes are carried, so neither side rebuilds one after
+// the other is mutated (see Relation).
+//
+// Clone makes no plain writes to d: any number of goroutines may clone,
+// and read, one database at the same time, and its clones may be mutated
+// while d is read or cloned again. The restore stack is not copied.
 func (d *Database) Clone() *Database {
-	c := New()
-	c.version = d.version
-	c.names = slices.Clone(d.names)
-	c.index = maps.Clone(d.index)
+	c := &Database{
+		rels:    make(map[string]*Relation, len(d.rels)),
+		names:   d.names[:len(d.names):len(d.names)],
+		consts:  d.consts.Clone(),
+		uid:     nextUID.Add(1),
+		version: d.version,
+	}
 	for name, r := range d.rels {
 		c.rels[name] = r.clone()
 	}

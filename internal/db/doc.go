@@ -22,20 +22,33 @@
 //     per-relation index build is double-checked under a mutex and
 //     published through an atomic ready flag. Freeze performs every
 //     pending build eagerly so a read-only shared database never
-//     contends at all.
+//     contends at all. Clone is a read: it makes no plain writes to its
+//     source, so any number of goroutines may clone one database while
+//     others read it, and the clones may be mutated meanwhile.
+//   - Copy-on-write versions: a Database is built from cow.Maps — each
+//     relation's tuple set and positional indexes, and the constant
+//     interner — plus the append-only constant names. Clone shares all
+//     of it: it copies each map's page table (O(∛n) for n entries) and
+//     marks the pages shared, and shares the names with their capacity
+//     clamped. Who copies what: the first write to a shared page or part,
+//     by the source or by any clone, copies that page or part alone (the
+//     first write to a map that was never split splits it, once, at
+//     O(n)); the first new constant of either side copies the names. A
+//     clone-then-mutate lineage therefore pays O(∛n + batch) per version.
 //   - Index maintenance and bucket sharing: once a relation's index is
 //     built, Add/Remove (and Delete/RestoreTo) patch the changed tuple's
 //     buckets instead of invalidating the index, and Clone carries it.
-//     The copy shares every bucket slice with its source, so no bucket is
-//     ever written where another relation can see it: a clone's shared
-//     buckets have their capacity clamped to their length, so its first
-//     append to one reallocates, and a removal always builds a fresh
-//     bucket. An append may still grow a bucket in place past the length
-//     any clone was given, so appends stay amortized O(1). A clone and its
-//     source may therefore be mutated and read independently — a clone's
-//     mutations never change what its source's Lookup returns, and vice
-//     versa. A run of removals whose bucket copies would outweigh one
-//     rebuild drops the index instead, for the next reader to rebuild.
+//     Bucket slices are shared between a relation and its clones, so no
+//     bucket is ever written where another relation can see it: a bucket
+//     carried out of a shared part of the index has its capacity clamped
+//     to its length when the part is copied, so the next append to it
+//     reallocates, and a removal always builds a fresh bucket. An append
+//     may still grow an owned bucket in place, so appends stay amortized
+//     O(1). A clone and its source may therefore be mutated and read
+//     independently — a clone's mutations never change what its source's
+//     Lookup returns, and vice versa. A run of removals whose bucket
+//     copies would outweigh one rebuild drops the index instead, for the
+//     next reader to rebuild.
 //   - Restore stack: Delete records removed tuples so RestoreTo(mark) can
 //     undo them in LIFO order; solvers that probe deletions (flow
 //     variants, VerifyContingency) always restore before returning.

@@ -48,11 +48,12 @@ func scratchIndex(r *Relation) [MaxArity]map[Value][]Tuple {
 	for p := 0; p < r.Arity; p++ {
 		idx[p] = map[Value][]Tuple{}
 	}
-	for t := range r.tuples {
+	r.tuples.Range(func(args [MaxArity]Value, _ struct{}) {
+		t := Tuple{Rel: r.Name, Arity: uint8(r.Arity), Args: args}
 		for p := 0; p < r.Arity; p++ {
-			idx[p][t.Args[p]] = append(idx[p][t.Args[p]], t)
+			idx[p][args[p]] = append(idx[p][args[p]], t)
 		}
-	}
+	})
 	for p := 0; p < r.Arity; p++ {
 		for _, b := range idx[p] {
 			SortTuples(b)
@@ -65,22 +66,30 @@ func scratchIndex(r *Relation) [MaxArity]map[Value][]Tuple {
 // DistinctAt exactly as a from-scratch build over its tuples would.
 func checkIndex(t *testing.T, label string, d *Database) {
 	t.Helper()
+	if err := indexError(d); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// indexError is checkIndex's comparison, reporting the first difference.
+func indexError(d *Database) error {
 	for _, name := range d.RelationNames() {
 		r := d.Rel(name)
 		want := scratchIndex(r)
 		for p := 0; p < r.Arity; p++ {
 			if got := r.DistinctAt(p); got != len(want[p]) {
-				t.Fatalf("%s: %s.DistinctAt(%d) = %d, want %d", label, name, p, got, len(want[p]))
+				return fmt.Errorf("%s.DistinctAt(%d) = %d, want %d", name, p, got, len(want[p]))
 			}
 			for v := Value(0); int(v) < d.NumConsts(); v++ {
 				got := slices.Clone(r.Lookup(p, v))
 				SortTuples(got)
 				if !slices.Equal(got, want[p][v]) {
-					t.Fatalf("%s: %s.Lookup(%d, %s) = %v, want %v", label, name, p, d.ConstName(v), got, want[p][v])
+					return fmt.Errorf("%s.Lookup(%d, %s) = %v, want %v", name, p, d.ConstName(v), got, want[p][v])
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // TestIndexMaintenanceRandomized drives random add, remove, Delete /

@@ -34,7 +34,7 @@ import (
 // the tests pin stay exact.
 type compCache struct {
 	mu    sync.Mutex
-	m     map[string]compEntry
+	m     map[string]*compEntry
 	order []string // insertion order, for FIFO eviction
 	max   int
 
@@ -67,10 +67,12 @@ func newCompCache(max int) *compCache {
 	if max <= 0 {
 		max = defaultCompCacheMax
 	}
-	return &compCache{m: map[string]compEntry{}, max: max}
+	return &compCache{m: map[string]*compEntry{}, max: max}
 }
 
-func (c *compCache) get(key string) (compEntry, bool) {
+// get returns the entry cached under key. Entries are never modified
+// once put, so the pointer may be read without the lock.
+func (c *compCache) get(key string) (*compEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	c.mu.Unlock()
@@ -82,7 +84,7 @@ func (c *compCache) get(key string) (compEntry, bool) {
 	return e, ok
 }
 
-func (c *compCache) put(key string, e compEntry) {
+func (c *compCache) put(key string, e *compEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; ok {

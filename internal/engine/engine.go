@@ -436,7 +436,9 @@ func (e *Engine) PeekInstance(q *cq.Query, d *db.Database) *witset.Instance {
 // batch that takes old to new, with tuples resolved against new's
 // interner. IRs that cannot be delta-maintained (unbreakable, or built
 // differently than Build would) are skipped and simply rebuilt from
-// scratch on demand. Returns the number of IRs migrated. No-op unless
+// scratch on demand. A migrated IR takes its source's place in the cache,
+// so migration works on a full cache too; old's IRs are not expected to
+// be wanted again. Returns the number of IRs migrated. No-op unless
 // NoClone enables the IR cache.
 func (e *Engine) MigrateIRs(ctx context.Context, old, new *db.Database, muts []witset.Mutation) int {
 	if !e.cfg.NoClone || len(muts) == 0 {
@@ -450,6 +452,8 @@ func (e *Engine) MigrateIRs(ctx context.Context, old, new *db.Database, muts []w
 		// Each migration needs a private pre-batch database to replay the
 		// batch against, with an interner covering any constants the batch
 		// introduced (clone interners share old's prefix; new appended).
+		// The clone is copy-on-write: it copies only what the replay
+		// writes.
 		work := old.Clone()
 		for v := work.NumConsts(); v < new.NumConsts(); v++ {
 			work.Const(new.ConstName(db.Value(v)))
@@ -458,7 +462,7 @@ func (e *Engine) MigrateIRs(ctx context.Context, old, new *db.Database, muts []w
 		if err != nil {
 			continue
 		}
-		if e.irs.put(en.q, new.UID(), new.Version(), inst) {
+		if e.irs.migrate(en, new.UID(), new.Version(), inst) {
 			e.irMigrations.Add(1)
 			migrated++
 		}

@@ -101,11 +101,11 @@ func (c *irCache) get(ctx context.Context, q *cq.Query, d *db.Database, build fu
 	}
 	c.misses.Add(1)
 	var e *irEntry
+	// Newer versions of a database supersede older ones; dropping the
+	// stale entries before the capacity check keeps a frequently mutated
+	// database from squeezing live IRs out of the cap.
+	c.evictStaleLocked(key.dbUID, key.dbVersion)
 	if c.size < c.max {
-		// Newer versions of a database supersede older ones; dropping the
-		// stale entries keeps a frequently re-uploaded database from
-		// squeezing live IRs out of the cap.
-		c.evictStaleLocked(key.dbUID, key.dbVersion)
 		e = &irEntry{q: q.Clone(), ready: make(chan struct{})}
 		c.buckets[key] = append(c.buckets[key], e)
 		c.size++
@@ -143,13 +143,19 @@ func (c *irCache) peek(q *cq.Query, d *db.Database) *witset.Instance {
 	return nil
 }
 
+// keyedEntry is a cache entry with the key it is stored under.
+type keyedEntry struct {
+	key irKey
+	*irEntry
+}
+
 // entriesFor snapshots the completed, successfully built entries keyed to
 // the given database identity and version. MigrateIRs walks these to carry
 // IRs across a mutation.
-func (c *irCache) entriesFor(dbUID, dbVersion uint64) []*irEntry {
+func (c *irCache) entriesFor(dbUID, dbVersion uint64) []keyedEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []*irEntry
+	var out []keyedEntry
 	for k, bucket := range c.buckets {
 		if k.dbUID != dbUID || k.dbVersion != dbVersion {
 			continue
@@ -158,7 +164,7 @@ func (c *irCache) entriesFor(dbUID, dbVersion uint64) []*irEntry {
 			select {
 			case <-e.ready:
 				if e.err == nil {
-					out = append(out, e)
+					out = append(out, keyedEntry{k, e})
 				}
 			default:
 			}
@@ -167,21 +173,25 @@ func (c *irCache) entriesFor(dbUID, dbVersion uint64) []*irEntry {
 	return out
 }
 
-// put inserts a prebuilt IR under (q, database identity), for MigrateIRs.
-// Respects the capacity cap and the single-entry-per-equivalent-query
-// rule; reports whether the instance was stored.
-func (c *irCache) put(q *cq.Query, dbUID, dbVersion uint64, inst *witset.Instance) bool {
-	key := irKey{dbUID: dbUID, dbVersion: dbVersion, sig: signature(q)}
+// migrate stores inst, src's IR delta-maintained to the database
+// (dbUID, dbVersion), in src's place: src leaves the cache, so a migration
+// needs no free capacity and a full cache still carries its IRs across a
+// mutation. Respects the single-entry-per-equivalent-query rule (an entry
+// already built for the new database wins, and src stays); reports
+// whether inst was stored.
+func (c *irCache) migrate(src keyedEntry, dbUID, dbVersion uint64, inst *witset.Instance) bool {
+	key := irKey{dbUID: dbUID, dbVersion: dbVersion, sig: src.key.sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lookup(key, q) != nil {
+	if c.lookup(key, src.q) != nil {
 		return false
 	}
+	c.removeLocked(src.key, src.irEntry)
+	c.evictStaleLocked(dbUID, dbVersion)
 	if c.size >= c.max {
 		return false
 	}
-	c.evictStaleLocked(dbUID, dbVersion)
-	e := &irEntry{q: q.Clone(), ready: make(chan struct{}), inst: inst}
+	e := &irEntry{q: src.q, ready: make(chan struct{}), inst: inst}
 	close(e.ready)
 	c.buckets[key] = append(c.buckets[key], e)
 	c.size++
@@ -242,6 +252,12 @@ func (c *irCache) evictUID(dbUID uint64) {
 func (c *irCache) remove(key irKey, e *irEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.removeLocked(key, e)
+}
+
+// removeLocked drops e from key's bucket if it is still there. Callers
+// hold c.mu.
+func (c *irCache) removeLocked(key irKey, e *irEntry) {
 	bucket := c.buckets[key]
 	for i, have := range bucket {
 		if have == e {

@@ -29,11 +29,13 @@ import (
 // (NoClone mode only) BEFORE any kernelization runs, so after a
 // delta-maintained mutation the untouched components skip kernelize and
 // solver alike and contribute their remembered minima for free — only the
-// dirtied components pay for the pipeline. Cache hits do not touch the
-// portfolio win counters (nothing raced) but carry their recorded winners
-// into the method string and their recorded kernel counters into the
-// stats, so a partially-cached solve reports the same method and
-// comparable statistics to the all-fresh solve it shortcuts.
+// dirtied components pay for the pipeline. The untouched components carry
+// their fingerprints from the previous version, so they are looked up on
+// the calling goroutine, and only the rest reach the worker pool. Cache
+// hits do not touch the portfolio win counters (nothing raced) but carry
+// their recorded winners into the method string and their recorded kernel
+// counters into the stats, so a partially-cached solve reports the same
+// method and comparable statistics to the all-fresh solve it shortcuts.
 //
 // With race set, each fresh kernel sub-component is raced by two solvers,
 // cancelling the loser:
@@ -62,69 +64,91 @@ func (e *Engine) pipelineOnInstance(ctx context.Context, inst *witset.Instance, 
 	useCache := e.cfg.NoClone
 
 	rho := 0
-	var tuples []db.Tuple
 	exactFlags, satFlags := 0, 0 // method reconstruction: all components
 	totalSubs := 0               // kernel sub-components, cached ones included
+	count := func(size int, exact, sat bool, subs, forced, dominated int) {
+		rho += size
+		totalSubs += subs
+		e.kernelForced.Add(int64(forced))
+		e.kernelDominated.Add(int64(dominated))
+		if exact {
+			exactFlags++
+		}
+		if sat {
+			satFlags++
+		}
+	}
 
-	if len(comps) > 0 {
+	// Cache first: a component whose fingerprint is memoized already
+	// (typically one ApplyDelta carried from the previous version) is
+	// looked up here, on the calling goroutine, and a hit is answered
+	// without a worker. The rest go to the pool: there a fingerprint still
+	// to render is rendered in parallel and looked up, and misses solved.
+	var hits []*compEntry
+	var todo []rawJob
+	for _, c := range comps {
+		if useCache {
+			if key, ok := c.MemoizedKey(); ok {
+				if ent, ok := e.comps.get(key); ok {
+					if hits == nil {
+						hits = make([]*compEntry, 0, len(comps))
+					}
+					hits = append(hits, ent)
+					count(ent.rho, ent.exact, ent.sat, ent.subs, ent.forced, ent.dominated)
+					continue
+				}
+				todo = append(todo, rawJob{c: c})
+				continue
+			}
+		}
+		todo = append(todo, rawJob{c: c, lookup: useCache})
+	}
+
+	outs := make([]compOut, len(todo))
+	if len(todo) > 0 {
 		rctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		workers := e.componentWorkers()
-		if workers > len(comps) {
-			workers = len(comps)
-		}
+		workers := min(e.componentWorkers(), len(todo))
 		idxCh := make(chan int)
-		outCh := make(chan compOut, len(comps))
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := range idxCh {
-					outCh <- e.solveRawComponent(rctx, inst, comps[i], race, useCache)
+					outs[i] = e.solveRawComponent(rctx, inst, todo[i], race, useCache)
 				}
 			}()
 		}
-		for i := range comps {
+		for i := range todo {
 			idxCh <- i
 		}
 		close(idxCh)
 		wg.Wait()
-		close(outCh)
+	}
 
-		var firstErr error
-		for out := range outCh {
-			if out.err != nil {
-				if firstErr == nil {
-					firstErr = out.err
-				}
-				continue
+	var firstErr error
+	for _, out := range outs {
+		if out.err != nil {
+			if firstErr == nil {
+				firstErr = out.err
 			}
-			rho += out.size
-			tuples = append(tuples, out.tuples...)
-			totalSubs += out.subs
-			e.kernelForced.Add(int64(out.forced))
-			e.kernelDominated.Add(int64(out.dominated))
-			if out.exact {
-				exactFlags++
-			}
-			if out.sat {
-				satFlags++
-			}
-			if race {
-				e.portfolioExactWins.Add(int64(out.exactWins))
-				e.portfolioSATWins.Add(int64(out.satWins))
-			}
+			continue
 		}
-		if firstErr != nil {
-			// Prefer the caller's cancellation cause over a racer's
-			// propagated copy of it.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, firstErr
+		count(out.size, out.exact, out.sat, out.subs, out.forced, out.dominated)
+		if race {
+			e.portfolioExactWins.Add(int64(out.exactWins))
+			e.portfolioSATWins.Add(int64(out.satWins))
 		}
+	}
+	if firstErr != nil {
+		// Prefer the caller's cancellation cause over a racer's
+		// propagated copy of it.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, firstErr
 	}
 	e.componentsSolved.Add(int64(totalSubs))
 	if totalSubs > 1 {
@@ -147,10 +171,26 @@ func (e *Engine) pipelineOnInstance(ctx context.Context, inst *witset.Instance, 
 	}
 	res := &resilience.Result{Rho: rho, Method: method, Witnesses: inst.NumWitnesses()}
 	if rho > 0 {
+		// Each component contributes one tuple per unit of its ρ.
+		tuples := make([]db.Tuple, 0, rho)
+		for _, ent := range hits {
+			tuples = append(tuples, ent.tuples...)
+		}
+		for _, out := range outs {
+			tuples = append(tuples, out.tuples...)
+		}
 		db.SortTuples(tuples)
 		res.ContingencySet = tuples
 	}
 	return res, nil
+}
+
+// rawJob is one raw component for the worker pool. lookup asks the worker
+// to render the component's fingerprint and look it up in the component
+// cache first; without it the cache was consulted already (or is off).
+type rawJob struct {
+	c      *witset.Component
+	lookup bool
 }
 
 // compOut is the outcome of one raw component: its contribution to ρ and
@@ -168,24 +208,27 @@ type compOut struct {
 	dominated int
 	exactWins int
 	satWins   int
-	hit       bool
 	err       error
 }
 
 // solveRawComponent answers one raw (un-kernelized) component: from the
-// component cache when its content fingerprint is known, otherwise by
-// kernelizing the component's family and solving each kernel sub-component
-// — raced under race, plain exact otherwise. Fresh results are cached
+// component cache when the job asks for a lookup and the component's
+// content fingerprint is known there, otherwise by kernelizing the
+// component's family and solving each kernel sub-component — raced under
+// race, plain exact otherwise. Under useCache, fresh results are cached
 // under the raw fingerprint so the next solve of an identical component
 // (typically: the same component after a delta elsewhere in the database)
 // skips both kernelization and solvers.
-func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, c *witset.Component, race, useCache bool) compOut {
+func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, job rawJob, race, useCache bool) compOut {
+	c := job.c
 	var key string
 	if useCache {
 		key = inst.ComponentKey(c)
-		if ent, ok := e.comps.get(key); ok {
-			return compOut{size: ent.rho, tuples: ent.tuples, exact: ent.exact, sat: ent.sat,
-				subs: ent.subs, forced: ent.forced, dominated: ent.dominated, hit: true}
+		if job.lookup {
+			if ent, ok := e.comps.get(key); ok {
+				return compOut{size: ent.rho, tuples: ent.tuples, exact: ent.exact, sat: ent.sat,
+					subs: ent.subs, forced: ent.forced, dominated: ent.dominated}
+			}
 		}
 	}
 	kern, err := witset.KernelizeCtx(ctx, c.Fam)
@@ -228,7 +271,7 @@ func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, c
 		}
 	}
 	if key != "" {
-		e.comps.put(key, compEntry{rho: out.size, tuples: out.tuples, exact: out.exact, sat: out.sat,
+		e.comps.put(key, &compEntry{rho: out.size, tuples: out.tuples, exact: out.exact, sat: out.sat,
 			subs: out.subs, forced: out.forced, dominated: out.dominated})
 	}
 	return out

@@ -245,7 +245,7 @@ func buildSequential(ctx context.Context, q *cq.Query, plan *eval.Plan, keep fun
 	if err := b.poll.Err(); err != nil {
 		return nil, err
 	}
-	return &Instance{query: q, tuples: b.tuples, idOf: b.idOf, rows: b.rows, unbreakable: b.unbreakable}, nil
+	return &Instance{query: q, tuples: b.tuples, idOf: wrapIDs(b.idOf), rows: b.rows, nrows: len(b.rows), unbreakable: b.unbreakable}, nil
 }
 
 // buildParallel partitions the first join step's candidate tuples into
@@ -305,7 +305,8 @@ func mergeShards(q *cq.Query, shards []*builder) *Instance {
 	}
 	// localTuples double-counts tuples seen by several shards, but as a map
 	// size hint an overestimate just avoids rehashing.
-	inst := &Instance{query: q, idOf: make(map[db.Tuple]int32, localTuples)}
+	inst := &Instance{query: q}
+	idOf := make(map[db.Tuple]int32, localTuples)
 	inst.rows = make([][]int32, 0, totalRows)
 	slab := make([]int32, 0, totalIDs)
 	for _, sb := range shards {
@@ -323,10 +324,10 @@ func mergeShards(q *cq.Query, shards []*builder) *Instance {
 				gid := remap[lid]
 				if gid < 0 {
 					t := sb.tuples[lid]
-					g, ok := inst.idOf[t]
+					g, ok := idOf[t]
 					if !ok {
 						g = int32(len(inst.tuples))
-						inst.idOf[t] = g
+						idOf[t] = g
 						inst.tuples = append(inst.tuples, t)
 					}
 					remap[lid] = g
@@ -342,5 +343,7 @@ func mergeShards(q *cq.Query, shards []*builder) *Instance {
 			break
 		}
 	}
+	inst.idOf = wrapIDs(idOf)
+	inst.nrows = len(inst.rows)
 	return inst
 }

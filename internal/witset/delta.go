@@ -3,7 +3,6 @@ package witset
 import (
 	"context"
 	"errors"
-	"maps"
 	"slices"
 
 	"repro/internal/ctxpoll"
@@ -13,7 +12,7 @@ import (
 
 // Delta IR maintenance. A tuple insert or delete touches only the
 // witnesses that use that tuple. ApplyDelta therefore patches an existing
-// instance instead of re-enumerating the whole join: an insert appends the
+// instance instead of re-enumerating the whole join: an insert adds the
 // rows of the new witnesses, which eval.ForEachDeltaWitness enumerates
 // (semi-join against the one-tuple delta), interning tuples first seen
 // now; deleting an endogenous tuple drops the rows that contain its id,
@@ -21,12 +20,16 @@ import (
 // vanishing witnesses and drops one row per witness. The old instance,
 // which may be shared by in-flight solvers, is never modified.
 //
-// The component split carries over too. Minimum hitting sets add over
-// components, and a delta can only change the components its removed and
-// added rows touch: every other component of the base is shared by
-// pointer, memoized fingerprint included, and only the touched
-// components' surviving rows plus the new rows are decomposed afresh. The
-// engine then finds the untouched components in its component-result
+// The component split carries over too, and it is what keeps a delta's
+// cost to the batch. Minimum hitting sets add over components, and a
+// delta can only change the components its removed and added rows touch:
+// every other component of the base is shared by pointer, memoized
+// fingerprint included, and only the touched components' surviving rows
+// plus the new rows are decomposed afresh. Each component holds its own
+// rows, and the split maps every id to its component, so a delete finds
+// the rows it kills in one component; the universe, the id map and that
+// map are shared with the base as far as the batch leaves them alone.
+// The engine then finds the untouched components in its component-result
 // cache and re-solves only the dirtied ones.
 
 // Mutation is one tuple-level database change, already resolved against
@@ -69,9 +72,11 @@ var ErrNeedRebuild = errors.New("witset: instance requires a full rebuild")
 // row — exactly like a tuple whose witnesses all vanished under Build's
 // keep filter — so families and bitsets stay well-formed.
 //
-// When base's component split has been computed, the new instance
-// carries it (see carrySplit): its Components equal a fresh Decompose of
-// its raw family, at the cost of the components the batch touched.
+// The new instance carries base's component split (computing it first if
+// base has none): its Components equal a fresh Decompose of its raw
+// family, and cost what the batch touched (see carrySplit). Its rows are
+// its components' rows, listed component by component; Rows assembles
+// them on first use.
 //
 // Built instances with a keep filter must not be delta-maintained: the
 // filter is not recorded, so ApplyDelta would resurrect filtered
@@ -84,52 +89,76 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 	q := base.query
 	poll := ctxpoll.New(ctx)
 	st := &DeltaStats{}
+	base.Components()
+	sp := base.split.Load()
+	root := sp.roots()
 
-	// Copy-on-write universe and rows: the base's slices are shared with
-	// every consumer of the base instance, so grow private copies.
-	tuples := append(make([]db.Tuple, 0, len(base.tuples)+len(muts)), base.tuples...)
-	idOf := maps.Clone(base.idOf)
-	rows := append(make([][]int32, 0, len(base.rows)+len(muts)), base.rows...)
-	alive := make([]bool, len(rows))
-	for i := range alive {
-		alive[i] = true
-	}
-	liveCount := len(rows)
-	kill := func(i int) {
-		alive[i] = false
-		liveCount--
-		st.RowsRemoved++
-	}
-
+	// The universe and its id map are shared with the base (ids are
+	// stable across versions) until the batch interns a tuple the base has
+	// never seen. Then idOf becomes a copy-on-write clone, which costs
+	// O(∛universe) and copies only the parts the new tuples land in (the
+	// first delta of a lineage also splits the build's map, once), and
+	// tuples a private copy of the base's slice, which every consumer of
+	// the base reads.
+	tuples := base.tuples
+	idOf := base.idOf
 	intern := func(t db.Tuple) int32 {
-		id, ok := idOf[t]
+		id, ok := idOf.Get(t)
 		if !ok {
+			if len(tuples) == len(base.tuples) {
+				idOf = base.idOf.Clone()
+				tuples = slices.Clip(base.tuples)
+			}
 			id = int32(len(tuples))
-			idOf[t] = id
+			idOf.Set(t, id)
 			tuples = append(tuples, t)
 		}
 		return id
 	}
 
-	// byKey indexes live row contents for exogenous deletes (multiset
-	// semantics: one row per witness, identical contents kept separately).
-	// Built on the first such delete, maintained across later inserts.
-	var byKey map[string][]int
-	rowKey := func(row []int32) string {
-		b := make([]byte, 0, len(row)*4)
-		for _, e := range row {
-			b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
+	// Rows die in place: dead[c][j] marks the j-th row of base component
+	// c, added holds the batch's new rows and addedDead their deaths.
+	// Every row of the base lies in the component of its ids, so finding
+	// the rows a delete kills costs one component.
+	dead := map[*Component][]bool{}
+	var added [][]int32
+	var addedDead []bool
+	killBase := func(c *Component, j int) {
+		d := dead[c]
+		if d == nil {
+			d = make([]bool, len(c.rows))
+			dead[c] = d
 		}
-		return string(b)
+		d[j] = true
+		st.RowsRemoved++
 	}
-	buildIndex := func() {
-		byKey = make(map[string][]int, len(rows))
-		for i, row := range rows {
-			if alive[i] {
-				k := rowKey(row)
-				byKey[k] = append(byKey[k], i)
+	// killWhere kills the live rows that satisfy match: every such row of
+	// the component holding id, then every such new row. With one set, it
+	// stops after the first kill.
+	killWhere := func(id int32, match func([]int32) bool, one bool) bool {
+		found := false
+		if c, ok := root.Get(id); ok {
+			for j, row := range c.rows {
+				if (dead[c] == nil || !dead[c][j]) && match(row) {
+					killBase(c, j)
+					found = true
+					if one {
+						return true
+					}
+				}
 			}
 		}
+		for j, row := range added {
+			if !addedDead[j] && match(row) {
+				addedDead[j] = true
+				st.RowsRemoved++
+				found = true
+				if one {
+					return true
+				}
+			}
+		}
+		return found
 	}
 
 	unbreakable := false
@@ -156,14 +185,9 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 					row[j] = intern(t)
 				}
 				sortIDs(row)
-				rows = append(rows, row)
-				alive = append(alive, true)
-				liveCount++
+				added = append(added, row)
+				addedDead = append(addedDead, false)
 				st.RowsAdded++
-				if byKey != nil {
-					k := rowKey(row)
-					byKey[k] = append(byKey[k], len(rows)-1)
-				}
 				return true
 			})
 			if err := poll.Err(); err != nil {
@@ -181,22 +205,16 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 			// Every witness that uses an endogenous tuple has the tuple's
 			// id in its row, and every row holding the id is such a
 			// witness; a tuple without an id occurs in no witness.
-			if id, ok := idOf[m.Tuple]; ok {
-				for i, row := range rows {
-					if alive[i] && slices.Contains(row, id) {
-						kill(i)
-					}
-				}
+			if id, ok := idOf.Get(m.Tuple); ok {
+				killWhere(id, func(row []int32) bool { return slices.Contains(row, id) }, false)
 			}
 			work.Remove(m.Tuple)
 			continue
 		}
 		// An exogenous tuple occurs in no row. The vanishing witnesses are
 		// those of the pre-state that use it, so enumerate before removing
-		// it and drop one row of equal content per witness.
-		if byKey == nil {
-			buildIndex()
-		}
+		// it and drop one row of equal content per witness (multiset
+		// semantics: identical witnesses keep a row each).
 		failed := false
 		eval.ForEachDeltaWitness(q, work, m.Tuple, func(w eval.Witness) bool {
 			if poll.Cancelled() {
@@ -212,7 +230,7 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 			}
 			row := make([]int32, len(ts))
 			for j, t := range ts {
-				id, ok := idOf[t]
+				id, ok := idOf.Get(t)
 				if !ok {
 					failed = true
 					return false
@@ -220,20 +238,7 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 				row[j] = id
 			}
 			sortIDs(row)
-			k := rowKey(row)
-			idxs := byKey[k]
-			found := false
-			for len(idxs) > 0 {
-				i := idxs[len(idxs)-1]
-				idxs = idxs[:len(idxs)-1]
-				if alive[i] {
-					kill(i)
-					found = true
-					break
-				}
-			}
-			byKey[k] = idxs
-			if !found {
+			if !killWhere(row[0], func(r []int32) bool { return slices.Equal(r, row) }, true) {
 				failed = true
 				return false
 			}
@@ -253,88 +258,104 @@ func ApplyDelta(ctx context.Context, base *Instance, work *db.Database, muts []M
 	if base.weights != nil {
 		// Surviving tuples keep their cost (ids are stable); tuples first
 		// interned by this delta get the default cost 1.
-		w := append(make([]int64, 0, len(tuples)), base.weights...)
+		w := slices.Clip(base.weights)
 		for len(w) < len(tuples) {
 			w = append(w, 1)
 		}
 		out.weights = w
 	}
 	if unbreakable {
+		// Enumeration stopped at an all-exogenous witness: like Build's,
+		// the instance holds no rows to solve.
 		return out, st, nil
 	}
-	out.rows = make([][]int32, 0, liveCount)
-	for i, row := range rows {
-		if alive[i] {
-			out.rows = append(out.rows, row)
+	out.nrows = base.nrows + st.RowsAdded - st.RowsRemoved
+	var fresh [][]int32
+	for j, row := range added {
+		if !addedDead[j] {
+			fresh = append(fresh, row)
 		}
 	}
-	if sp := base.split.Load(); sp != nil {
-		out.split.Store(carrySplit(sp, rows, alive, len(base.rows), out))
-	}
+	out.split.Store(carrySplit(sp, dead, fresh, out))
 	return out, st, nil
 }
 
-// carrySplit derives out's component split from its base's split sp. rows
-// are the base's rows (the first nBase) followed by the delta's new rows,
-// and alive marks the survivors. The result equals
-// Decompose(out.Family(true)): a component none of whose rows died and
-// none of whose tuples occurs in a new row has the same rows in the same
-// order in out, so it is shared; the rest are re-decomposed from their
-// surviving rows and the new ones. The set of re-decomposed rows is closed
-// under sharing a tuple: a row sharing a tuple with a dirty component or a
-// new row belongs to that dirty component.
-func carrySplit(sp *componentSplit, rows [][]int32, alive []bool, nBase int, out *Instance) *componentSplit {
-	root := sp.roots()
-	var dirty Bits // indexed by a component's smallest id
-	mark := func(e int32) {
-		if int(e) < len(root) && root[e] >= 0 {
-			if dirty == nil {
-				dirty = NewBits(len(root))
-			}
-			dirty.Set(root[e])
-		}
-	}
-	touched := false
-	for i, row := range rows {
-		switch {
-		case i < nBase && !alive[i]:
-			mark(row[0]) // all of a row's ids lie in one component
-			touched = true
-		case i >= nBase && alive[i]:
-			for _, e := range row {
-				mark(e)
-			}
-			touched = true
-		}
-	}
-	if !touched {
+// carrySplit derives out's component split from its base's split sp,
+// given the base rows that died (dead, per component) and the live new
+// rows. The result equals Decompose(out.Family(true)): a component none of
+// whose rows died and none of whose ids occurs in a new row keeps its rows
+// in out, so it is shared by pointer; the rest ("dirty") are decomposed
+// afresh from their surviving rows and the new ones. That set of rows is
+// closed under sharing an id: a row sharing an id with a dirty component
+// or a new row belongs to that dirty component.
+//
+// The work is that of the dirty components and the new rows, plus one
+// pointer per component for the merged list; the id-to-component map is a
+// copy-on-write clone patched for the dirty ids.
+func carrySplit(sp *componentSplit, dead map[*Component][]bool, fresh [][]int32, out *Instance) *componentSplit {
+	if len(dead) == 0 && len(fresh) == 0 {
 		return sp
 	}
-
-	// The rows to re-decompose, in out's row order: decompose orders each
-	// component's rows by size, ties in this order, as Family(true) does.
-	var sub [][]int32
-	for i, row := range rows {
-		if alive[i] && (i >= nBase || (dirty != nil && dirty.Has(root[row[0]]))) {
-			sub = append(sub, row)
+	root := sp.roots()
+	dirty := map[*Component]bool{}
+	for c := range dead {
+		dirty[c] = true
+	}
+	for _, row := range fresh {
+		for _, e := range row {
+			if c, ok := root.Get(e); ok {
+				dirty[c] = true
+			}
 		}
 	}
-	fresh := decompose(sub, len(out.tuples), out.weights)
 
-	// Merge the clean components with the fresh ones, both ordered by
-	// smallest id.
-	comps := make([]*Component, 0, len(sp.comps)+len(fresh))
-	j := 0
+	// The rows to re-decompose: the dirty components' survivors in
+	// component order, then the new rows. out lists its rows component by
+	// component in this same order (see Rows), so decompose's tie order
+	// matches what Decompose(out.Family(true)) would see.
+	var sub [][]int32
 	for _, c := range sp.comps {
-		if dirty != nil && dirty.Has(c.Global[0]) {
+		if !dirty[c] {
 			continue
 		}
-		for j < len(fresh) && fresh[j].Global[0] < c.Global[0] {
-			comps = append(comps, fresh[j])
+		d := dead[c]
+		for j, row := range c.rows {
+			if d == nil || !d[j] {
+				sub = append(sub, row)
+			}
+		}
+	}
+	sub = append(sub, fresh...)
+	recomputed := decompose(sub, len(out.tuples), out.weights)
+
+	// Merge the clean components with the recomputed ones, both ordered
+	// by smallest id.
+	comps := make([]*Component, 0, len(sp.comps)+len(recomputed)-len(dirty))
+	j := 0
+	for _, c := range sp.comps {
+		if dirty[c] {
+			continue
+		}
+		for j < len(recomputed) && recomputed[j].Global[0] < c.Global[0] {
+			comps = append(comps, recomputed[j])
 			j++
 		}
 		comps = append(comps, c)
 	}
-	comps = append(comps, fresh[j:]...)
-	return &componentSplit{comps: comps}
+	comps = append(comps, recomputed[j:]...)
+
+	nroot := root.Clone()
+	for c := range dirty {
+		for _, e := range c.Global {
+			nroot.Delete(e)
+		}
+	}
+	for _, c := range recomputed {
+		for _, e := range c.Global {
+			nroot.Set(e, c)
+		}
+	}
+	nsp := &componentSplit{comps: comps}
+	nsp.rootOnce.Do(func() { nsp.root = nroot })
+	return nsp
 }

@@ -35,6 +35,15 @@ func (in *Instance) ComponentKey(c *Component) string {
 	return k
 }
 
+// MemoizedKey returns c's fingerprint if ComponentKey has rendered it
+// already, for this instance or for the base of a delta that carried c.
+func (c *Component) MemoizedKey() (string, bool) {
+	if k := c.key.Load(); k != nil {
+		return *k, true
+	}
+	return "", false
+}
+
 // renderKey renders ComponentKey's fingerprint of c.
 func (in *Instance) renderKey(c *Component) string {
 	rowStrs := make([]string, len(c.Fam.Rows))

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cow"
 	"repro/internal/ctxpoll"
 )
 
@@ -251,6 +252,10 @@ type Component struct {
 	Fam *Family
 	// Global maps local element ids to global ids, strictly increasing.
 	Global []int32
+	// rows are the component's raw rows over global ids, in the order its
+	// family was built from. ApplyDelta finds the rows a delete kills here,
+	// and a delta-maintained instance lists its rows from its components.
+	rows [][]int32
 
 	// key memoizes Instance.ComponentKey. A component is shared by pointer
 	// only between instances that agree on the tuple of every id it uses
@@ -287,9 +292,21 @@ func decompose(rows [][]int32, n int, w []int64) []*Component {
 	if len(rows) == 0 {
 		return nil
 	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
+	// The union-find array spans the universe, though a delta's
+	// re-decomposition meets few of its ids: it is recycled, and only the
+	// entries of ids occurring in rows are initialized (find never visits
+	// any other).
+	pp, _ := parentPool.Get().(*[]int32)
+	if pp == nil || cap(*pp) < n {
+		s := make([]int32, n)
+		pp = &s
+	}
+	defer parentPool.Put(pp)
+	parent := (*pp)[:n]
+	for _, row := range rows {
+		for _, e := range row {
+			parent[e] = e
+		}
 	}
 	var find func(x int32) int32
 	find = func(x int32) int32 {
@@ -372,10 +389,14 @@ func decompose(rows [][]int32, n int, w []int64) []*Component {
 		out = append(out, &Component{
 			Fam:    cf,
 			Global: global,
+			rows:   g.rows,
 		})
 	}
 	return out
 }
+
+// parentPool recycles decompose's union-find arrays.
+var parentPool sync.Pool
 
 // componentSplit is an instance's component split (Instance.Components).
 // Components are ordered by their smallest global id, which also names a
@@ -385,28 +406,35 @@ type componentSplit struct {
 	comps []*Component
 
 	rootOnce sync.Once
-	root     []int32
+	root     cow.Map[int32, *Component]
 }
 
-// roots maps every id to the smallest id of the component that contains
-// it, or -1 when the id occurs in no row; ids past the end of the slice
-// occur in no row either. It is built on first use, by the first delta
-// applied to the instance.
-func (sp *componentSplit) roots() []int32 {
+// roots maps every id that occurs in a row to its component. A split
+// decomposed from scratch builds the map on first use, by the first delta
+// applied to its instance; a split ApplyDelta carries gets a patched
+// copy-on-write clone of its base's map at construction.
+//
+// The map's hash keeps id order: ids are dense, and the ids of one
+// component mostly lie close together (a build interns a component's
+// tuples as it meets them, a delta its new tuples last), so shifting
+// [0, n) onto the high bits that pick the page and part keeps a
+// component in few parts, and patching it after a delta copies few.
+// Later ids past n wrap around onto the low ones, which only costs
+// balance.
+func (sp *componentSplit) roots() *cow.Map[int32, *Component] {
 	sp.rootOnce.Do(func() {
-		n := int32(0)
+		n, total := int32(0), 0
 		for _, c := range sp.comps {
 			n = max(n, c.Global[len(c.Global)-1]+1)
+			total += len(c.Global)
 		}
-		sp.root = make([]int32, n)
-		for i := range sp.root {
-			sp.root[i] = -1
-		}
+		s := 64 - bits.Len32(uint32(n))
+		sp.root = cow.New[int32, *Component](total, func(id int32) uint64 { return uint64(uint32(id)) << s }, nil)
 		for _, c := range sp.comps {
 			for _, e := range c.Global {
-				sp.root[e] = c.Global[0]
+				sp.root.Set(e, c)
 			}
 		}
 	})
-	return sp.root
+	return &sp.root
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cow"
 	"repro/internal/cq"
 	"repro/internal/ctxpoll"
 	"repro/internal/db"
@@ -17,11 +18,20 @@ import (
 // vertices are the distinct endogenous tuples occurring in any witness
 // (interned to dense int32 ids), edges are the per-witness tuple sets.
 type Instance struct {
-	query  *cq.Query
+	query *cq.Query
+	// tuples is the universe, indexed by id, and idOf inverts it. Ids are
+	// stable across versions, so ApplyDelta shares both with the instances
+	// it derives and extends them only by the tuples a batch interns:
+	// idOf is a copy-on-write map for that (a build's plain map, wrapped).
 	tuples []db.Tuple
-	idOf   map[db.Tuple]int32
-	// rows holds one sorted id set per kept witness, in enumeration order.
-	rows [][]int32
+	idOf   cow.Map[db.Tuple, int32]
+	// rows holds one sorted id set per kept witness: in enumeration order
+	// for a built instance. A delta-maintained instance leaves it nil until
+	// Rows assembles it (under rowsOnce) from its components; nrows counts
+	// the rows either way.
+	rows     [][]int32
+	rowsOnce sync.Once
+	nrows    int
 	// unbreakable records that some witness had no endogenous tuples, so no
 	// deletion set can falsify the query (infinite resilience). Enumeration
 	// stops at the first such witness, so rows is then partial.
@@ -49,6 +59,12 @@ type Instance struct {
 	split   atomic.Pointer[componentSplit]
 }
 
+// wrapIDs takes over a build's tuple-to-id map as the instance's
+// copy-on-write id map.
+func wrapIDs(m map[db.Tuple]int32) cow.Map[db.Tuple, int32] {
+	return cow.From(m, db.Tuple.Hash, nil)
+}
+
 // Build enumerates the witnesses of q over d and interns their endogenous
 // tuple sets, skipping witnesses rejected by keep (nil keeps all). It polls
 // ctx during enumeration and returns ctx.Err() once cancelled. Build is
@@ -67,7 +83,7 @@ func (in *Instance) Unbreakable() bool { return in.unbreakable }
 
 // NumWitnesses returns the number of kept witnesses (edges of the
 // hypergraph, before deduplication).
-func (in *Instance) NumWitnesses() int { return len(in.rows) }
+func (in *Instance) NumWitnesses() int { return in.nrows }
 
 // NumTuples returns the size of the interned tuple universe.
 func (in *Instance) NumTuples() int { return len(in.tuples) }
@@ -81,13 +97,27 @@ func (in *Instance) Tuples() []db.Tuple { return in.tuples }
 
 // ID returns the id of t and whether t occurs in any witness.
 func (in *Instance) ID(t db.Tuple) (int32, bool) {
-	id, ok := in.idOf[t]
-	return id, ok
+	return in.idOf.Get(t)
 }
 
-// Rows returns the per-witness id sets in enumeration order, each sorted.
-// Read-only, like Tuples.
-func (in *Instance) Rows() [][]int32 { return in.rows }
+// Rows returns the per-witness id sets, each sorted: in enumeration order
+// for a built instance, component by component (in Components order) for
+// one ApplyDelta maintained, which assembles them on first use. Read-only,
+// like Tuples.
+func (in *Instance) Rows() [][]int32 {
+	in.rowsOnce.Do(func() {
+		sp := in.split.Load()
+		if in.rows != nil || sp == nil || in.nrows == 0 {
+			return
+		}
+		rows := make([][]int32, 0, in.nrows)
+		for _, c := range sp.comps {
+			rows = append(rows, c.rows...)
+		}
+		in.rows = rows
+	})
+	return in.rows
+}
 
 // Weights returns the per-tuple deletion costs, indexed by tuple id, or nil
 // when every tuple costs 1 (the cardinality case). Read-only, like Tuples.
@@ -123,7 +153,8 @@ func (in *Instance) WithWeights(weights []int64) (*Instance, error) {
 		query:       in.query,
 		tuples:      in.tuples,
 		idOf:        in.idOf,
-		rows:        in.rows,
+		rows:        in.Rows(),
+		nrows:       in.nrows,
 		unbreakable: in.unbreakable,
 		weights:     weights,
 	}, nil
@@ -149,13 +180,13 @@ func (in *Instance) TupleSet(ids []int32) []db.Tuple {
 func (in *Instance) Family(keepSupersets bool) *Family {
 	if keepSupersets {
 		in.rawOnce.Do(func() {
-			in.raw = NewFamily(in.rows, len(in.tuples), true)
+			in.raw = NewFamily(in.Rows(), len(in.tuples), true)
 			in.raw.W = in.weights
 		})
 		return in.raw
 	}
 	in.minOnce.Do(func() {
-		in.min = NewFamily(in.rows, len(in.tuples), false)
+		in.min = NewFamily(in.Rows(), len(in.tuples), false)
 		in.min.W = in.weights
 	})
 	return in.min
