@@ -48,13 +48,16 @@ perfbench-check:
 	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # The randomized differential suites that pin pipeline ≡ monolithic solver
-# equivalence (solve, enumerate-minimum, responsibility) plus the
-# component-parallel portfolio agreement tests, under the race detector.
+# equivalence (solve, enumerate-minimum, responsibility; unit and weighted
+# costs) plus the component-parallel portfolio agreement tests, the
+# component cache across cost models, the bound hierarchy of the one
+# branch-and-bound, and the incremental counter and the SAT-search racer
+# against brute force and the exact solver, under the race detector.
 # `make race` already includes them; this target names them so CI fails
 # loudly if they are ever renamed away.
 test-differential:
-	$(GO) test -race -run 'TestDifferential|TestPortfolio|TestDecideAndVerifyViaIR' \
-		./internal/resilience/ ./internal/engine/
+	$(GO) test -race -run 'TestDifferential|TestPortfolio|TestDecideAndVerifyViaIR|TestIncrementalSolver|TestSATFamilySearch|TestWeightedSAT|BoundHierarchy' \
+		./internal/resilience/ ./internal/engine/ ./internal/cnfenc/
 
 # Short fuzz bursts over the four fuzzed boundaries: the CQ parser, the
 # PATCH wire decoder, the CDCL core, and the WAL frame/op decoder that

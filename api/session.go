@@ -559,23 +559,7 @@ func (s *Session) run(ctx context.Context, t Task, q *cq.Query, d *db.Database, 
 			return nil, Errorf(CodeBadTuple,
 				"%s is exogenous in the query; only endogenous tuples can be causes", t.Tuple)
 		}
-		if len(t.Weights) > 0 {
-			k, gamma, err := s.ResponsibilityWeightedQuery(ctx, q, d, probe, t.Weights)
-			res.Tuple = d.TupleString(probe)
-			switch {
-			case errors.Is(err, resilience.ErrNotCounterfactual):
-				res.NotCounterfactual = true
-			case err != nil:
-				return nil, err
-			default:
-				res.K = int(k)
-				res.Cost = k
-				res.Responsibility = 1.0 / float64(1+k)
-				res.Contingency = TupleStrings(d, gamma)
-			}
-			return finish()
-		}
-		k, gamma, err := s.ResponsibilityQuery(ctx, q, d, probe)
+		k, gamma, err := s.ResponsibilityWeightedQuery(ctx, q, d, probe, t.Weights)
 		res.Tuple = d.TupleString(probe)
 		switch {
 		case errors.Is(err, resilience.ErrNotCounterfactual):
@@ -583,7 +567,10 @@ func (s *Session) run(ctx context.Context, t Task, q *cq.Query, d *db.Database, 
 		case err != nil:
 			return nil, err
 		default:
-			res.K = k
+			res.K = int(k)
+			if len(t.Weights) > 0 {
+				res.Cost = k
+			}
 			res.Responsibility = 1.0 / float64(1+k)
 			res.Contingency = TupleStrings(d, gamma)
 		}
@@ -723,9 +710,9 @@ func rankedEntry(d *db.Database, rank int, rt resilience.RankedTuple) RankedTupl
 
 // weightedInstanceFor resolves the task's weight map into a per-tuple cost
 // vector over the engine's cached IR and returns a derived weighted
-// instance sharing that IR's enumeration (the cache keeps the unweighted
-// base; the derived instance only re-runs the cheap lazy family/component
-// caches). With no weights it returns the cached instance itself. Every
+// instance sharing that IR's enumeration and component split (the cache
+// keeps the unweighted base; the derived instance re-costs its components
+// and builds its own families and kernels). With no weights it returns the cached instance itself. Every
 // fact named in the map must exist in the database (CodeBadTuple
 // otherwise); facts outside the witness universe are inert — no solver can
 // delete them, so their cost never matters. Unlisted tuples cost 1.
@@ -767,27 +754,21 @@ func (s *Session) SolveQuery(ctx context.Context, q *cq.Query, d *db.Database) (
 // EnumerateQuery returns ρ(q, d) with every minimum contingency set (up to
 // maxSets; 0 = no cap), reusing the engine's cached IR when available.
 func (s *Session) EnumerateQuery(ctx context.Context, q *cq.Query, d *db.Database, maxSets int) (int, [][]db.Tuple, error) {
-	inst, err := s.eng.InstanceFor(ctx, q, d)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resilience.EnumerateMinimumOnInstance(ctx, inst, d, maxSets)
+	rho, sets, err := s.EnumerateWeightedQuery(ctx, q, d, maxSets, nil)
+	return int(rho), sets, err
 }
 
 // ResponsibilityQuery computes the responsibility of tuple t for q on d,
 // reusing the engine's cached IR when available.
 func (s *Session) ResponsibilityQuery(ctx context.Context, q *cq.Query, d *db.Database, t db.Tuple) (int, []db.Tuple, error) {
-	inst, err := s.eng.InstanceFor(ctx, q, d)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resilience.ResponsibilityOnInstance(ctx, inst, d, t)
+	k, gamma, err := s.ResponsibilityWeightedQuery(ctx, q, d, t, nil)
+	return int(k), gamma, err
 }
 
 // SolveWeightedQuery computes ρ_w(q, d) under the given per-fact deletion
 // costs (unlisted facts cost 1; a nil/empty map is the plain cardinality
-// solve routed through the weighted pipeline). Classification is bypassed:
-// the PTIME specializations answer only the cardinality question.
+// solve, reported as a weighted one). Classification is bypassed: the
+// PTIME specializations answer only the cardinality question.
 func (s *Session) SolveWeightedQuery(ctx context.Context, q *cq.Query, d *db.Database, weights map[string]int64) (*resilience.WeightedResult, error) {
 	inst, err := s.weightedInstanceFor(ctx, q, d, weights)
 	if err != nil {
@@ -798,7 +779,8 @@ func (s *Session) SolveWeightedQuery(ctx context.Context, q *cq.Query, d *db.Dat
 
 // EnumerateWeightedQuery returns ρ_w(q, d) with every minimum-cost
 // contingency set (up to maxSets; 0 = no cap) under the given per-fact
-// costs, reusing the engine's cached IR when available.
+// costs (none: the cardinality enumeration), reusing the engine's cached
+// IR when available.
 func (s *Session) EnumerateWeightedQuery(ctx context.Context, q *cq.Query, d *db.Database, maxSets int, weights map[string]int64) (int64, [][]db.Tuple, error) {
 	inst, err := s.weightedInstanceFor(ctx, q, d, weights)
 	if err != nil {
@@ -808,14 +790,14 @@ func (s *Session) EnumerateWeightedQuery(ctx context.Context, q *cq.Query, d *db
 }
 
 // ResponsibilityWeightedQuery computes the min-cost responsibility of tuple
-// t for q on d under the given per-fact costs, reusing the engine's cached
-// IR when available.
+// t for q on d under the given per-fact costs (none: the cardinality
+// responsibility), reusing the engine's cached IR when available.
 func (s *Session) ResponsibilityWeightedQuery(ctx context.Context, q *cq.Query, d *db.Database, t db.Tuple, weights map[string]int64) (int64, []db.Tuple, error) {
 	inst, err := s.weightedInstanceFor(ctx, q, d, weights)
 	if err != nil {
 		return 0, nil, err
 	}
-	return resilience.WeightedResponsibilityOnInstance(ctx, inst, d, t)
+	return resilience.ResponsibilityOnInstance(ctx, inst, d, t)
 }
 
 // TopKResponsibilityQuery ranks the k most responsible tuples of (q, d),

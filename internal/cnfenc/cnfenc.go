@@ -217,7 +217,7 @@ func DecideCtx(ctx context.Context, q *cq.Query, d *db.Database, k int) (bool, [
 	if inst.Unbreakable() {
 		return false, nil, ErrUnbreakable
 	}
-	inc := newIncrementalFromRows(inst.Rows(), inst.NumTuples(), k)
+	inc := NewIncrementalSolver(&witset.Family{N: inst.NumTuples(), Rows: inst.Rows()}, k)
 	assign, ok, err := inc.SolveBudget(ctx, k)
 	if err != nil {
 		return false, nil, err

@@ -8,7 +8,10 @@
 // clause per witness requiring at least one of its tuples deleted, and a
 // Sinz sequential-counter circuit enforcing that at most k tuples are
 // deleted. The resulting formula is satisfiable iff (D, k) ∈ RES(q), and
-// any model projects to a verified contingency set of size ≤ k.
+// any model projects to a verified contingency set of size ≤ k. The
+// incremental counter (IncrementalSolver) also bounds total deletion
+// cost when the family carries per-tuple costs (witset.Family.W, nil
+// meaning unit cost): one encoding serves both cost models.
 //
 // # Key invariants
 //

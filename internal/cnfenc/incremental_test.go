@@ -269,3 +269,95 @@ func BenchmarkSATIncrementalScratch(b *testing.B) {
 		binarySearchScratch(b, fam)
 	}
 }
+
+// bruteMinCost computes the minimum total cost of a hitting set by subset
+// enumeration (n ≤ ~16), with costs from fam.W (1 each when nil), and the
+// total cost of the universe.
+func bruteMinCost(fam *witset.Family) (min, total int64) {
+	for e := 0; e < fam.N; e++ {
+		total += fam.Cost(int32(e))
+	}
+	min = total
+	for mask := 0; mask < 1<<fam.N; mask++ {
+		cost := int64(0)
+		for e := 0; e < fam.N; e++ {
+			if mask&(1<<e) != 0 {
+				cost += fam.Cost(int32(e))
+			}
+		}
+		if cost >= min {
+			continue
+		}
+		hitsAll := true
+		for _, row := range fam.Rows {
+			hit := false
+			for _, e := range row {
+				if mask&(1<<e) != 0 {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				hitsAll = false
+				break
+			}
+		}
+		if hitsAll {
+			min = cost
+		}
+	}
+	return min, total
+}
+
+// TestIncrementalSolverCostBruteForce pins the one counter, on unit and on
+// weighted families (costs 1–9), against brute force at every budget from
+// 0 to the universe's total cost, probed in a random order over one
+// persistent solver: SolveBudget(k) is satisfiable exactly when the
+// minimum cost is ≤ k, and every model's chosen set hits every row at a
+// Cost of at most k. The weighted half is what exercises the
+// downward-monotone clauses and the saturating register increments.
+func TestIncrementalSolverCostBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	ctx := context.Background()
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(10)
+		fam := randomFamily(rng, n, 1+rng.Intn(2*n))
+		if trial%2 == 1 {
+			fam.W = make([]int64, n)
+			for e := range fam.W {
+				fam.W[e] = 1 + rng.Int63n(9)
+			}
+		}
+		min, total := bruteMinCost(fam)
+		inc := NewIncrementalSolver(fam, int(total-1))
+		for _, k := range rng.Perm(int(total) + 1) {
+			assign, ok, err := inc.SolveBudget(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(k) >= min; ok != want {
+				t.Fatalf("trial %d: SolveBudget(%d) = %v, min cost = %d (rows %v, w %v)",
+					trial, k, ok, min, fam.Rows, fam.W)
+			}
+			if !ok {
+				continue
+			}
+			if cost := inc.Cost(assign); cost > int64(k) {
+				t.Fatalf("trial %d: budget %d model costs %d (w %v)", trial, k, cost, fam.W)
+			}
+			hit := make([]bool, fam.N)
+			for _, e := range inc.Chosen(assign) {
+				hit[e] = true
+			}
+			for _, row := range fam.Rows {
+				rowHit := false
+				for _, e := range row {
+					rowHit = rowHit || hit[e]
+				}
+				if !rowHit {
+					t.Fatalf("trial %d: budget %d model misses row %v", trial, k, row)
+				}
+			}
+		}
+	}
+}

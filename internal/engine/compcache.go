@@ -19,14 +19,20 @@ import (
 // the dirtied components only.
 //
 // Soundness: equal fingerprints mean equal row multisets over identical
-// ground tuples, so the minimum hitting sets coincide — the cached size
-// and the cached optimum (stored as ground tuples, not instance-local ids)
-// transfer verbatim.
+// ground tuples at identical costs (a weighted instance's fingerprints
+// cover every tuple's cost, an unweighted one's none), so the minimum
+// hitting sets coincide — the cached cost and the cached optimum (stored
+// as ground tuples, not instance-local ids) transfer verbatim.
 //
 // Entries also record which portfolio racer produced them and the
 // kernelization counters of the skipped work, so a solve answered partly
 // from cache reconstructs the same method string and the same statistics
 // the all-fresh solve reported (the parity suite pins method stability).
+//
+// Weighted entries are evicted before unweighted ones: a stream of
+// requests with ever new costs, none of which a later request can hit,
+// would otherwise push out the unweighted entries live-update re-solves
+// read. The cap counts both, so the cache holds no more than it did.
 //
 // The cache is only consulted under Config.NoClone (the serving-layer
 // mode, same condition as the IR cache): with per-request cloning every
@@ -35,20 +41,20 @@ import (
 type compCache struct {
 	mu    sync.Mutex
 	m     map[string]*compEntry
-	order []string // insertion order, for FIFO eviction
+	order [2][]string // insertion order, unweighted then weighted keys, for FIFO eviction
 	max   int
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// compEntry is one solved raw component: its minimum hitting-set size
+// compEntry is one solved raw component: its minimum hitting-set cost
 // (forced deletions included), one optimum as ground tuples, which
 // portfolio racers contributed, and the counters of the kernelize+solve
 // work a cache hit skips — sub-components solved, tuples forced, tuples
 // dominated — so stats stay comparable between cached and fresh solves.
 type compEntry struct {
-	rho       int
+	cost      int64
 	tuples    []db.Tuple
 	exact     bool
 	sat       bool
@@ -84,19 +90,32 @@ func (c *compCache) get(key string) (*compEntry, bool) {
 	return e, ok
 }
 
-func (c *compCache) put(key string, e *compEntry) {
+// put caches e under key, a weighted instance's fingerprint if weighted.
+// A full cache evicts its oldest weighted entry, or its oldest unweighted
+// one when it holds no weighted entry.
+func (c *compCache) put(key string, e *compEntry, weighted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; ok {
 		return
 	}
-	for len(c.m) >= c.max && len(c.order) > 0 {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
+	for len(c.m) >= c.max {
+		q := &c.order[1]
+		if len(*q) == 0 {
+			q = &c.order[0]
+		}
+		if len(*q) == 0 {
+			break
+		}
+		delete(c.m, (*q)[0])
+		*q = (*q)[1:]
 	}
 	c.m[key] = e
-	c.order = append(c.order, key)
+	i := 0
+	if weighted {
+		i = 1
+	}
+	c.order[i] = append(c.order[i], key)
 }
 
 func (c *compCache) stats() (hits, misses int64) {

@@ -30,6 +30,15 @@
 //     instance solves against a private copy; under NoClone, the one
 //     PTIME solver that temporarily deletes tuples (AlgPerm3Flow) gets a
 //     private clone and everything else reads only.
+//   - One pipeline for both cost models: SolveWeightedInstance runs the
+//     same kernel, race and (under NoClone) component cache as the
+//     cardinality path on a weighted instance, whose component
+//     fingerprints cover the costs, so weighted and unweighted answers
+//     never share a cache entry; a full cache evicts weighted entries
+//     first, so weighted traffic does not push out unweighted ones.
+//   - The SAT racer never builds a counter of more than
+//     cnfenc.MaxRegisters registers; over it, the race leaves the
+//     component to the branch-and-bound.
 //   - Cancellation is prompt and partial results survive: SolveBatch
 //     always returns a full-length, index-aligned slice; instances
 //     finished before ctx was cancelled keep their results, the rest

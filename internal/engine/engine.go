@@ -82,7 +82,8 @@ type Config struct {
 	// CompCacheSize caps the component-result cache (0 = default 4096),
 	// which remembers solved kernel components by content fingerprint so
 	// delta-maintained mutations re-solve only the components they dirtied.
-	// Like the IR cache it is only consulted under NoClone.
+	// Weighted results share the cap and are evicted first. Like the IR
+	// cache it is only consulted under NoClone.
 	CompCacheSize int
 	// NoClone skips the defensive per-instance database clone. It is the
 	// serving-layer mode: callers pass long-lived (typically frozen)
@@ -365,7 +366,11 @@ func (e *Engine) solveComponent(ctx context.Context, cl *core.Classification, d 
 		if inst.NumWitnesses() == 0 {
 			return &resilience.Result{Rho: 0, Method: method, Witnesses: 0}, nil
 		}
-		return e.pipelineOnInstance(ctx, inst, e.cfg.Portfolio)
+		res, err := e.pipelineOnInstance(ctx, inst, e.cfg.Portfolio)
+		if err != nil {
+			return nil, err
+		}
+		return &resilience.Result{Rho: int(res.Cost), ContingencySet: res.ContingencySet, Method: res.Method, Witnesses: res.Witnesses}, nil
 	}
 	if e.cfg.NoClone && cl.Algorithm == core.AlgPerm3Flow {
 		// The one PTIME solver that temporarily deletes tuples. Under
@@ -374,6 +379,35 @@ func (e *Engine) solveComponent(ctx context.Context, cl *core.Classification, d 
 		d = d.Clone()
 	}
 	return resilience.SolveClassifiedCtx(ctx, cl, d)
+}
+
+// SolveWeightedInstance computes ρ_w over a (typically weighted) witness
+// IR through the same pipeline as the cardinality solver, component cache
+// and portfolio race included; only the method string differs, prefixed
+// with "weighted-". Classification is bypassed: the PTIME specializations
+// answer only the cardinality question.
+func (e *Engine) SolveWeightedInstance(ctx context.Context, inst *witset.Instance) (*resilience.WeightedResult, error) {
+	if inst.Unbreakable() {
+		return nil, resilience.ErrUnbreakable
+	}
+	res, err := e.pipelineOnInstance(ctx, inst, e.cfg.Portfolio)
+	if err != nil {
+		return nil, err
+	}
+	res.Method = "weighted-" + res.Method
+	return res, nil
+}
+
+// TopKResponsibility ranks the k most responsible tuples of (q, d) off the
+// engine's shared IR: the same cached instance that serves solve, enumerate
+// and responsibility traffic backs the whole ranking, and the per-component
+// minima inside it are solved once for all tuples.
+func (e *Engine) TopKResponsibility(ctx context.Context, q *cq.Query, d *db.Database, k int) ([]resilience.RankedTuple, error) {
+	inst, err := e.InstanceFor(ctx, q, d)
+	if err != nil {
+		return nil, err
+	}
+	return resilience.TopKResponsibilityOnInstance(ctx, inst, d, k)
 }
 
 // ForgetDatabase drops every cached IR built from d. Callers that retire

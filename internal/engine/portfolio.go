@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/cnfenc"
@@ -15,10 +17,15 @@ import (
 // first split into the connected components of its row-intersection graph,
 // then each component is kernelized (unit-row forcing, dominated-tuple
 // elimination) and solved independently on a bounded intra-instance worker
-// pool — ρ is the sum over components of forced deletions plus kernel
-// minima. Small components mean exponentially smaller searches and smaller
-// CNF counters, and independent components mean the solves run in parallel
-// instead of one monolithic search.
+// pool — the minimum is the sum over components of forced deletions plus
+// kernel minima. Small components mean exponentially smaller searches and
+// smaller CNF counters, and independent components mean the solves run in
+// parallel instead of one monolithic search.
+//
+// Costs come from the instance's weights, so one pipeline answers both
+// questions: on an unweighted instance every tuple costs 1 and the result's
+// Cost is ρ; on a weighted one it is ρ_w, the kernel's domination rule is
+// weight-aware, and the component fingerprints cover the costs.
 //
 // Decomposing before kernelizing is sound because both kernelization rules
 // are component-local: a unit row forces an element of its own component,
@@ -43,9 +50,9 @@ import (
 //   - exact branch-and-bound over the component's hitting-set family
 //     (resilience.SolveFamily), strongest when the packing lower bound
 //     prunes well;
-//   - binary search on k over the CNF encoding of the component
-//     (cnfenc.FamilyEncoder per probe), strongest when unit propagation
-//     locks in forced deletions.
+//   - binary search on the budget over one incremental CNF counter
+//     (satFamilySearch), strongest when unit propagation locks in forced
+//     deletions. It declines families whose counter would be too large.
 //
 // The two racers dominate on different instance families, so a race is
 // never slower than the better solver by more than scheduling noise, and
@@ -57,44 +64,48 @@ import (
 // across solves by the engine's cross-request IR cache under NoClone) and
 // is immutable (the derived family and the component split are computed
 // once and shared), so no solver touches the database and no defensive
-// clone is needed. Unbreakability and the zero-witness case are properties
-// of the IR and short-circuit in solveComponent before any solver starts.
-func (e *Engine) pipelineOnInstance(ctx context.Context, inst *witset.Instance, race bool) (*resilience.Result, error) {
+// clone is needed. Unbreakability is a property of the IR, and callers
+// answer it before any solver starts.
+func (e *Engine) pipelineOnInstance(ctx context.Context, inst *witset.Instance, race bool) (*resilience.WeightedResult, error) {
 	comps := inst.Components()
 	useCache := e.cfg.NoClone
 
-	rho := 0
+	cost := int64(0)
+	ntuples := 0
 	exactFlags, satFlags := 0, 0 // method reconstruction: all components
 	totalSubs := 0               // kernel sub-components, cached ones included
-	count := func(size int, exact, sat bool, subs, forced, dominated int) {
-		rho += size
-		totalSubs += subs
-		e.kernelForced.Add(int64(forced))
-		e.kernelDominated.Add(int64(dominated))
-		if exact {
+	count := func(ent *compEntry) {
+		cost += ent.cost
+		ntuples += len(ent.tuples)
+		totalSubs += ent.subs
+		e.kernelForced.Add(int64(ent.forced))
+		e.kernelDominated.Add(int64(ent.dominated))
+		if ent.exact {
 			exactFlags++
 		}
-		if sat {
+		if ent.sat {
 			satFlags++
 		}
 	}
 
-	// Cache first: a component whose fingerprint is memoized already
-	// (typically one ApplyDelta carried from the previous version) is
-	// looked up here, on the calling goroutine, and a hit is answered
-	// without a worker. The rest go to the pool: there a fingerprint still
-	// to render is rendered in parallel and looked up, and misses solved.
+	// Cache first: a component whose fingerprint is known without
+	// rendering (typically one ApplyDelta carried from the previous
+	// version, or a weighted view's component whose unweighted twin was
+	// fingerprinted) is looked up here, on the calling goroutine, and a
+	// hit is answered without a worker. The rest go to the pool: there a
+	// fingerprint still to render is rendered in parallel and looked up,
+	// and misses solved.
 	var hits []*compEntry
 	var todo []rawJob
 	for _, c := range comps {
 		if useCache {
-			if key, ok := c.MemoizedKey(); ok {
+			if key, ok := inst.MemoizedKey(c); ok {
 				if ent, ok := e.comps.get(key); ok {
 					if hits == nil {
 						hits = make([]*compEntry, 0, len(comps))
 					}
 					hits = append(hits, ent)
-					count(ent.rho, ent.exact, ent.sat, ent.subs, ent.forced, ent.dominated)
+					count(ent)
 					continue
 				}
 				todo = append(todo, rawJob{c: c})
@@ -129,14 +140,15 @@ func (e *Engine) pipelineOnInstance(ctx context.Context, inst *witset.Instance, 
 	}
 
 	var firstErr error
-	for _, out := range outs {
+	for i := range outs {
+		out := &outs[i]
 		if out.err != nil {
 			if firstErr == nil {
 				firstErr = out.err
 			}
 			continue
 		}
-		count(out.size, out.exact, out.sat, out.subs, out.forced, out.dominated)
+		count(&out.compEntry)
 		if race {
 			e.portfolioExactWins.Add(int64(out.exactWins))
 			e.portfolioSATWins.Add(int64(out.satWins))
@@ -169,10 +181,9 @@ func (e *Engine) pipelineOnInstance(ctx context.Context, inst *witset.Instance, 
 			method += "mixed"
 		}
 	}
-	res := &resilience.Result{Rho: rho, Method: method, Witnesses: inst.NumWitnesses()}
-	if rho > 0 {
-		// Each component contributes one tuple per unit of its ρ.
-		tuples := make([]db.Tuple, 0, rho)
+	res := &resilience.WeightedResult{Cost: cost, Method: method, Witnesses: inst.NumWitnesses()}
+	if cost > 0 {
+		tuples := make([]db.Tuple, 0, ntuples)
 		for _, ent := range hits {
 			tuples = append(tuples, ent.tuples...)
 		}
@@ -193,19 +204,11 @@ type rawJob struct {
 	lookup bool
 }
 
-// compOut is the outcome of one raw component: its contribution to ρ and
-// the contingency set, which solver kinds contributed (for the method
-// string), the portfolio win counts of the freshly raced sub-components,
-// and the kernelization statistics (recorded from the cache entry on a
-// hit, so stats are comparable either way).
+// compOut is the outcome of one raw component: what a cache entry records
+// (recorded from the entry itself on a hit, so stats are comparable either
+// way), plus the portfolio win counts of the freshly raced sub-components.
 type compOut struct {
-	size      int
-	tuples    []db.Tuple
-	exact     bool
-	sat       bool
-	subs      int
-	forced    int
-	dominated int
+	compEntry
 	exactWins int
 	satWins   int
 	err       error
@@ -218,7 +221,9 @@ type compOut struct {
 // race, plain exact otherwise. Under useCache, fresh results are cached
 // under the raw fingerprint so the next solve of an identical component
 // (typically: the same component after a delta elsewhere in the database)
-// skips both kernelization and solvers.
+// skips both kernelization and solvers. The fingerprint covers the tuples'
+// costs on a weighted instance, so weighted and unit answers never share
+// an entry.
 func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, job rawJob, race, useCache bool) compOut {
 	c := job.c
 	var key string
@@ -226,8 +231,7 @@ func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, j
 		key = inst.ComponentKey(c)
 		if job.lookup {
 			if ent, ok := e.comps.get(key); ok {
-				return compOut{size: ent.rho, tuples: ent.tuples, exact: ent.exact, sat: ent.sat,
-					subs: ent.subs, forced: ent.forced, dominated: ent.dominated}
+				return compOut{compEntry: *ent}
 			}
 		}
 	}
@@ -235,30 +239,32 @@ func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, j
 	if err != nil {
 		return compOut{err: err}
 	}
-	out := compOut{
-		size:      len(kern.Forced),
+	out := compOut{compEntry: compEntry{
 		tuples:    inst.TupleSet(c.ToGlobal(kern.Forced)),
 		forced:    len(kern.Forced),
 		dominated: kern.Dominated,
+	}}
+	for _, id := range kern.Forced {
+		out.cost += c.Fam.Cost(id)
 	}
 	subs := kern.Components()
 	out.subs = len(subs)
 	for _, sub := range subs {
 		var (
-			size   int
+			cost   int64
 			local  []int32
 			viaSAT bool
 		)
 		if race {
-			size, local, viaSAT, err = e.raceComponent(ctx, sub.Fam)
+			cost, local, viaSAT, err = e.raceComponent(ctx, sub.Fam)
 		} else {
 			e.solverRuns.Add(1)
-			size, local, err = resilience.SolveFamily(ctx, sub.Fam, -1)
+			cost, local, err = resilience.SolveFamily(ctx, sub.Fam, -1)
 		}
 		if err != nil {
 			return compOut{err: err}
 		}
-		out.size += size
+		out.cost += cost
 		// Solver ids are local to the sub-component's family; lift them
 		// through the sub-component's and the raw component's remaps.
 		out.tuples = append(out.tuples, inst.TupleSet(c.ToGlobal(sub.ToGlobal(local)))...)
@@ -271,21 +277,23 @@ func (e *Engine) solveRawComponent(ctx context.Context, inst *witset.Instance, j
 		}
 	}
 	if key != "" {
-		e.comps.put(key, &compEntry{rho: out.size, tuples: out.tuples, exact: out.exact, sat: out.sat,
-			subs: out.subs, forced: out.forced, dominated: out.dominated})
+		ent := out.compEntry
+		e.comps.put(key, &ent, inst.Weights() != nil)
 	}
 	return out
 }
 
 // raceComponent races the exact branch-and-bound against SAT binary search
-// on one component family, returning the minimum hitting set size, one
-// optimal set of local element ids, and which racer finished first.
-func (e *Engine) raceComponent(ctx context.Context, fam *witset.Family) (int, []int32, bool, error) {
+// on one component family, returning the minimum hitting set cost, one
+// optimal set of local element ids, and which racer finished first. A SAT
+// racer that declines with cnfenc.ErrWidthTooLarge is not an error: the
+// race keeps waiting for the exact side instead of cancelling it.
+func (e *Engine) raceComponent(ctx context.Context, fam *witset.Family) (int64, []int32, bool, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type racerOut struct {
-		size int
+		cost int64
 		ids  []int32
 		sat  bool
 		err  error
@@ -293,24 +301,27 @@ func (e *Engine) raceComponent(ctx context.Context, fam *witset.Family) (int, []
 	ch := make(chan racerOut, 2)
 	e.solverRuns.Add(2)
 	go func() {
-		size, ids, err := resilience.SolveFamily(rctx, fam, -1)
-		ch <- racerOut{size: size, ids: ids, err: err}
+		cost, ids, err := resilience.SolveFamily(rctx, fam, -1)
+		ch <- racerOut{cost: cost, ids: ids, err: err}
 	}()
 	go func() {
-		size, ids, err := satFamilySearch(rctx, fam)
-		ch <- racerOut{size: size, ids: ids, sat: true, err: err}
+		cost, ids, err := satFamilySearch(rctx, fam)
+		ch <- racerOut{cost: cost, ids: ids, sat: true, err: err}
 	}()
 
 	var firstErr error
-	for i := 0; i < 2; i++ {
+	for received := 1; received <= 2; received++ {
 		out := <-ch
 		if out.err == nil {
 			cancel()
 			// Drain the loser so both goroutines are done before return.
-			if i == 0 {
+			if received == 1 {
 				<-ch
 			}
-			return out.size, out.ids, out.sat, nil
+			return out.cost, out.ids, out.sat, nil
+		}
+		if errors.Is(out.err, cnfenc.ErrWidthTooLarge) {
+			continue // SAT declined the family; let the exact side finish
 		}
 		if firstErr == nil {
 			firstErr = out.err
@@ -323,43 +334,96 @@ func (e *Engine) raceComponent(ctx context.Context, fam *witset.Family) (int, []
 	return 0, nil, false, firstErr
 }
 
-// satFamilySearch computes a component's minimum hitting set size by
-// binary-searching the smallest k whose CNF encoding is satisfiable. A
-// greedy cover seeds the search: its size ub is an achievable incumbent, so
-// the minimum lies in [1, ub] and the probes only ever ask budgets below
-// ub — which also caps the incremental counter's register block at width
-// ub instead of the whole universe, keeping the clause database near the
-// size a single scratch encoding at the optimum would have been.
+// satFamilySearch computes a component's minimum hitting-set cost by
+// binary-searching the smallest satisfiable total-cost budget over one
+// persistent CDCL clause database (cnfenc.IncrementalSolver): the row
+// clauses and the counter are loaded once, each probe is a SolveAssume
+// call on the budget's gating literal, and the clauses learned while
+// refuting one budget keep pruning every later probe.
 //
-// The whole search runs against one persistent CDCL clause database
-// (cnfenc.IncrementalSolver): the row clauses and the cardinality counter
-// are loaded once, each probe is a SolveAssume call on the budget's gating
-// literal, and the clauses learned while refuting one budget keep pruning
-// every later probe — the incremental replacement for the old
-// re-encode-and-resolve-from-scratch loop.
-func satFamilySearch(ctx context.Context, fam *witset.Family) (int, []int32, error) {
-	ids := witset.GreedyHittingSet(fam)
-	best := len(ids)
-	lo, hi := 1, best-1
-	if lo > hi {
-		return best, ids, nil
+// A greedy cover seeds the search: its cost ub is an achievable
+// incumbent, so the minimum lies in [1, ub] and the probes only ever ask
+// budgets below ub — which also caps the counter's register block at width
+// ub instead of the whole universe. Each satisfiable probe tightens the
+// incumbent to the model's true cost (a model at budget k may cost less
+// than k), skipping the budgets in between. A counter of more than
+// cnfenc.MaxRegisters registers is never built: the search declines with
+// cnfenc.ErrWidthTooLarge (wrapped) before construction, which is not
+// cancellable.
+//
+// On a weighted family, costs are first normalized by the gcd of the
+// occurring elements' weights: the register block holds one register per
+// cost unit, so dividing out a common factor shrinks the counter by that
+// factor — and makes the search invariant under uniform weight scaling,
+// probing the exact same budgets for w and c·w.
+func satFamilySearch(ctx context.Context, fam *witset.Family) (int64, []int32, error) {
+	g := int64(1)
+	if fam.W != nil {
+		fam, g = normalizeCosts(fam)
 	}
-	inc := cnfenc.NewIncrementalSolver(fam, hi)
+	ids := witset.GreedyHittingSet(fam)
+	best := int64(0)
+	for _, e := range ids {
+		best += fam.Cost(e)
+	}
+	lo, hi := int64(1), best-1
+	if lo > hi {
+		return best * g, ids, nil
+	}
+	// N ≥ 1 here (some row is unhit), and the bound is checked by dividing
+	// rather than multiplying: client costs reach 2^63-1, so N·(hi+1) may
+	// overflow.
+	if hi+1 > cnfenc.MaxRegisters/int64(fam.N) {
+		return 0, nil, fmt.Errorf("%w: %d elements at budget %d, cap %d registers", cnfenc.ErrWidthTooLarge, fam.N, hi, cnfenc.MaxRegisters)
+	}
+	inc := cnfenc.NewIncrementalSolver(fam, int(hi))
 	for lo <= hi {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
 		mid := lo + (hi-lo)/2
-		assign, ok, err := inc.SolveBudget(ctx, mid)
+		assign, ok, err := inc.SolveBudget(ctx, int(mid))
 		if err != nil {
 			return 0, nil, err
 		}
 		if ok {
-			best, ids = mid, inc.Chosen(assign)
-			hi = mid - 1
+			best, ids = inc.Cost(assign), inc.Chosen(assign)
+			hi = best - 1
 		} else {
 			lo = mid + 1
 		}
 	}
-	return best, ids, nil
+	return best * g, ids, nil
+}
+
+// normalizeCosts divides a weighted family's costs by the gcd g of the
+// weights of the elements occurring in some row, returning the rescaled
+// family and g. Absent elements are never chosen, so their weights are
+// irrelevant; they get cost 1 to keep the vector valid.
+func normalizeCosts(fam *witset.Family) (*witset.Family, int64) {
+	g := int64(0)
+	for e, occ := range fam.Occ {
+		if len(occ) > 0 {
+			g = gcd64(g, fam.W[e])
+		}
+	}
+	if g == 0 {
+		g = 1
+	}
+	nf := *fam
+	nf.W = make([]int64, fam.N)
+	for e := range nf.W {
+		nf.W[e] = 1
+		if len(fam.Occ[e]) > 0 {
+			nf.W[e] = fam.W[e] / g
+		}
+	}
+	return &nf, g
+}
+
+func gcd64(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/datagen"
+	"repro/internal/db"
 	"repro/internal/resilience"
 	"repro/internal/witset"
 )
@@ -131,7 +133,7 @@ func TestSATFamilySearchMatchesExact(t *testing.T) {
 				t.Fatalf("round %d: satFamilySearch = %d, exact = %d (N=%d rows=%d)",
 					round, gotSize, wantSize, c.Fam.N, len(c.Fam.Rows))
 			}
-			if len(ids) != gotSize {
+			if int64(len(ids)) != gotSize {
 				t.Fatalf("round %d: satFamilySearch returned %d ids for size %d", round, len(ids), gotSize)
 			}
 			hit := make([]bool, c.Fam.N)
@@ -205,5 +207,41 @@ func TestPortfolioManyComponents(t *testing.T) {
 	}
 	if st.SolverRuns != 2*st.ComponentsSolved {
 		t.Errorf("Stats.SolverRuns = %d, want 2 per raced component (%d)", st.SolverRuns, st.ComponentsSolved)
+	}
+}
+
+// TestPortfolioRaceDeclinesOversizedCounter pins the SAT racer's register
+// budget. qchain over a directed ring of n facts has one kernel-resistant
+// component, a cycle of n two-tuple witnesses with ρ = n/2, which the exact
+// side settles at the root (greedy meets the LP bound). A counter sized to
+// the greedy cover would hold n·n/2 registers, and its construction cannot
+// be cancelled, so the race would last, and allocate, until it was built:
+// about 80 MB at n = 512. Over cnfenc.MaxRegisters the SAT side declines
+// instead, and the race costs what the exact side costs.
+func TestPortfolioRaceDeclinesOversizedCounter(t *testing.T) {
+	const n = 512
+	q := cq.MustParse("qchain :- R(x,y), R(y,z)")
+	d := db.New()
+	for i := 0; i < n; i++ {
+		d.AddNames("R", datagen.ConstName(i), datagen.ConstName((i+1)%n))
+	}
+	e := New(Config{Portfolio: true, NoClone: true})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, _, err := e.Solve(context.Background(), q, d)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rho != n/2 || res.Method != "portfolio/exact" {
+		t.Fatalf("ρ = %d by %q, want %d by portfolio/exact", res.Rho, res.Method, n/2)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("raced solve allocated %.1f MB, want < 16 MB: the SAT side built its counter",
+			float64(alloc)/(1<<20))
+	}
+	if st := e.Stats(); st.SolverRuns != 2*st.ComponentsSolved {
+		t.Fatalf("Stats.SolverRuns = %d, want 2×ComponentsSolved = %d after a decline",
+			st.SolverRuns, 2*st.ComponentsSolved)
 	}
 }

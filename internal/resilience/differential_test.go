@@ -282,7 +282,7 @@ func TestDifferentialPipelineVsMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s round %d: monolithic enumerate: %v", name, round, err)
 			}
-			if erho != mrho || len(esets) != len(msets) {
+			if int64(erho) != mrho || len(esets) != len(msets) {
 				t.Fatalf("%s round %d: enumerate pipeline (ρ=%d, %d sets) vs monolithic (ρ=%d, %d sets)",
 					name, round, erho, len(esets), mrho, len(msets))
 			}
@@ -309,7 +309,7 @@ func TestDifferentialPipelineVsMonolithic(t *testing.T) {
 					t.Fatalf("%s round %d: responsibility(%s) pipeline k = %d, monolithic k = %d",
 						name, round, d.TupleString(tup), pk, mk)
 				}
-				if len(pg) != pk {
+				if int64(len(pg)) != pk {
 					t.Fatalf("%s round %d: responsibility(%s) gamma size %d ≠ k %d",
 						name, round, d.TupleString(tup), len(pg), pk)
 				}

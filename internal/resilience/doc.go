@@ -16,7 +16,17 @@
 //     connected components;
 //   - EnumerateMinimum: ρ plus every minimum contingency set;
 //   - Responsibility: minimal contingency size making a tuple a
-//     counterfactual cause (Meliou et al. [31]).
+//     counterfactual cause (Meliou et al. [31]);
+//   - TopKResponsibilityOnInstance: the k most responsible tuples off
+//     one IR.
+//
+// Every hitting-set layer — the branch-and-bound, the instance pipeline,
+// enumeration, responsibility and top-k — answers the min-cost
+// generalization too: an instance carrying per-tuple deletion costs
+// (witset.Instance.WithWeights) is solved by the same code, which reads
+// the costs from witset.Family.W, nil meaning unit cost. The *Weighted*
+// entry points differ from the cardinality ones only in reporting an
+// int64 cost.
 //
 // # Key invariants
 //

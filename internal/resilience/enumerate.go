@@ -99,62 +99,29 @@ func EnumerateMinimumWeightedOnInstance(ctx context.Context, inst *witset.Instan
 }
 
 // enumerateMinimumMonolithic is the pre-pipeline enumeration over the whole
-// instance at once: branch on the tuples of the first witness not yet hit,
-// which visits every minimum hitting set (any optimal set must intersect
-// that witness). It is kept as the differential suite's oracle for
-// pipeline ≡ monolithic parity.
-func enumerateMinimumMonolithic(ctx context.Context, inst *witset.Instance, d *db.Database, maxSets int) (int, [][]db.Tuple, error) {
-	base, err := solveInstance(ctx, inst, -1, "exact", Options{Monolithic: true})
-	if err != nil {
+// instance at once: one monolithic solve for the minimum cost, then branch
+// on the tuples of the first witness not yet hit, which visits every
+// minimum-cost hitting set (any optimal set must intersect that witness).
+// It is kept as the differential suite's oracle for pipeline ≡ monolithic
+// parity, unit and weighted alike.
+func enumerateMinimumMonolithic(ctx context.Context, inst *witset.Instance, d *db.Database, maxSets int) (int64, [][]db.Tuple, error) {
+	cost, _, err := solveInstance(ctx, inst, -1, Options{Monolithic: true})
+	if err != nil || cost == 0 {
 		return 0, nil, err
-	}
-	if base.Rho == 0 {
-		return 0, nil, nil
 	}
 	poll := ctxpoll.New(ctx)
-	sets, err := enumerateRows(poll, inst.Rows(), inst.NumTuples(), nil, int64(base.Rho), maxSets, nil)
+	sets, err := enumerateRows(poll, inst.Rows(), inst.NumTuples(), inst.Weights(), cost, maxSets, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	return base.Rho, finishSets(inst, d, sets), nil
-}
-
-// enumerateMinimumWeightedMonolithic is the weighted oracle twin of
-// enumerateMinimumMonolithic: one monolithic weighted solve for ρ_w, then
-// the same whole-instance recursion with per-tuple costs.
-func enumerateMinimumWeightedMonolithic(ctx context.Context, inst *witset.Instance, d *db.Database, maxSets int) (int64, [][]db.Tuple, error) {
-	base, err := solveWeightedInstance(ctx, inst, -1, "weighted-exact", Options{Monolithic: true})
-	if err != nil {
-		return 0, nil, err
-	}
-	if base.Cost == 0 {
-		return 0, nil, nil
-	}
-	poll := ctxpoll.New(ctx)
-	sets, err := enumerateRows(poll, inst.Rows(), inst.NumTuples(), inst.Weights(), base.Cost, maxSets, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return base.Cost, finishSets(inst, d, sets), nil
-}
-
-// EnumerateMinimumFunc is the streaming form of EnumerateMinimumOnInstance:
-// every minimum contingency set is passed to emit as the search discovers
-// it, so a serving layer can flush the first set to a client long before
-// the enumeration finishes. It returns ρ and the number of sets emitted.
-// On a weighted instance the emitted rho is ρ_w truncated to int; weighted
-// callers should use EnumerateMinimumWeightedFunc directly.
-func EnumerateMinimumFunc(ctx context.Context, inst *witset.Instance, d *db.Database, maxSets int, emit func(rho int, set []db.Tuple) error) (int, int, error) {
-	cost, count, err := EnumerateMinimumWeightedFunc(ctx, inst, d, maxSets, func(c int64, set []db.Tuple) error {
-		return emit(int(c), set)
-	})
-	return int(cost), count, err
+	return cost, finishSets(inst, d, sets), nil
 }
 
 // EnumerateMinimumWeightedFunc is the streaming all-optima enumeration in
-// total-cost terms (the unit EnumerateMinimumFunc wraps it): every
-// minimum-cost contingency set is passed to emit as the search discovers
-// it. It returns ρ_w and the number of sets emitted.
+// total-cost terms (ρ on an unweighted instance): every minimum-cost
+// contingency set is passed to emit as the search discovers it, so a
+// serving layer can flush the first set to a client long before the
+// enumeration finishes. It returns ρ_w and the number of sets emitted.
 //
 // ρ_w is computed first (one hitting-set solve per component), so emit
 // always receives the final cost; sets then arrive in discovery order — NOT
@@ -184,7 +151,7 @@ func EnumerateMinimumWeightedFunc(ctx context.Context, inst *witset.Instance, d 
 	cost := int64(0)
 	costs := make([]int64, len(comps))
 	for i, c := range comps {
-		ccost, _, err := solveComponentFamily(ctx, c.Fam)
+		ccost, _, err := solveFamily(ctx, c.Fam, -1, Options{})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -261,23 +228,12 @@ func EnumerateMinimumWeightedFunc(ctx context.Context, inst *witset.Instance, d 
 	return cost, count, nil
 }
 
-// solveComponentFamily solves one component family for its minimum in
-// total-cost terms, dispatching on whether the family carries weights so
-// the unit path keeps its int-typed hot loop.
-func solveComponentFamily(ctx context.Context, fam *witset.Family) (int64, []int32, error) {
-	if fam.W == nil {
-		rho, ids, err := solveFamily(ctx, fam, -1, Options{})
-		return int64(rho), ids, err
-	}
-	return solveFamilyWeighted(ctx, fam, -1, Options{})
-}
-
 // enumerateFamily returns a family's minimum hitting set cost together with
 // its minimum hitting sets (up to maxSets when maxSets > 0), as sorted
 // local-id sets in a deterministic order. On an unweighted family the cost
 // is the cardinality.
 func enumerateFamily(ctx context.Context, poll *ctxpoll.Poller, fam *witset.Family, maxSets int) (int64, [][]int32, error) {
-	cost, _, err := solveComponentFamily(ctx, fam)
+	cost, _, err := solveFamily(ctx, fam, -1, Options{})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -64,9 +64,9 @@ func TestDifferentialEnumerateStreamVsCollected(t *testing.T) {
 				t.Fatalf("%s[%d]: collected: %v", c.name, round, err)
 			}
 			var got [][]db.Tuple
-			rho, n, err := EnumerateMinimumFunc(context.Background(), inst, d, 0,
-				func(r int, set []db.Tuple) error {
-					if r != wantRho {
+			rho, n, err := EnumerateMinimumWeightedFunc(context.Background(), inst, d, 0,
+				func(r int64, set []db.Tuple) error {
+					if r != int64(wantRho) {
 						t.Fatalf("%s[%d]: emitted rho %d, want %d", c.name, round, r, wantRho)
 					}
 					got = append(got, set)
@@ -75,7 +75,7 @@ func TestDifferentialEnumerateStreamVsCollected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s[%d]: streaming: %v", c.name, round, err)
 			}
-			if rho != wantRho || n != len(got) {
+			if rho != int64(wantRho) || n != len(got) {
 				t.Fatalf("%s[%d]: rho=%d n=%d, want rho=%d n=%d", c.name, round, rho, n, wantRho, len(got))
 			}
 			if !reflect.DeepEqual(famKey(d, got), famKey(d, wantSets)) {
@@ -96,8 +96,8 @@ func TestEnumerateStreamCapAndAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, total, err := EnumerateMinimumFunc(context.Background(), inst, d, 0,
-		func(int, []db.Tuple) error { return nil })
+	_, total, err := EnumerateMinimumWeightedFunc(context.Background(), inst, d, 0,
+		func(int64, []db.Tuple) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +106,15 @@ func TestEnumerateStreamCapAndAbort(t *testing.T) {
 	}
 
 	count := 0
-	_, n, err := EnumerateMinimumFunc(context.Background(), inst, d, 1,
-		func(int, []db.Tuple) error { count++; return nil })
+	_, n, err := EnumerateMinimumWeightedFunc(context.Background(), inst, d, 1,
+		func(int64, []db.Tuple) error { count++; return nil })
 	if err != nil || n != 1 || count != 1 {
 		t.Fatalf("maxSets=1: n=%d count=%d err=%v, want exactly one emission", n, count, err)
 	}
 
 	boom := errors.New("client went away")
-	_, _, err = EnumerateMinimumFunc(context.Background(), inst, d, 0,
-		func(int, []db.Tuple) error { return boom })
+	_, _, err = EnumerateMinimumWeightedFunc(context.Background(), inst, d, 0,
+		func(int64, []db.Tuple) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("emit error not propagated: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestEnumerateStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	_, _, err = EnumerateMinimumFunc(ctx, inst, d, 0, func(int, []db.Tuple) error {
+	_, _, err = EnumerateMinimumWeightedFunc(ctx, inst, d, 0, func(int64, []db.Tuple) error {
 		emitted++
 		if emitted == 3 {
 			cancel()

@@ -67,82 +67,91 @@ func exactFiltered(ctx context.Context, q *cq.Query, d *db.Database, budget int,
 	if err != nil {
 		return nil, err
 	}
-	return solveInstance(ctx, inst, budget, "exact", Options{})
+	return exactResult(ctx, inst, budget, "exact", Options{})
 }
 
 // ExactOnInstance computes ρ over a prebuilt witness-hypergraph IR, which
 // is how callers that already paid for witness enumeration — the engine's
 // portfolio, cross-checks against the SAT oracle — avoid enumerating again.
 func ExactOnInstance(ctx context.Context, inst *witset.Instance, budget int) (*Result, error) {
-	return solveInstance(ctx, inst, budget, "exact", Options{})
+	return exactResult(ctx, inst, budget, "exact", Options{})
 }
 
-// solveInstance is the one exact-path entry point: every exact API lands
-// here with an IR in hand. Unless opts force the monolithic solver, it runs
-// the kernel+decompose pipeline: kernelize the normalized family, split the
-// kernel into connected components, solve each component independently, and
-// assemble ρ as forced + Σ component minima (additivity: components share
-// no elements, so hitting sets combine disjointly).
-func solveInstance(ctx context.Context, inst *witset.Instance, budget int, method string, opts Options) (*Result, error) {
+// exactResult is solveInstance reported as a cardinality Result.
+func exactResult(ctx context.Context, inst *witset.Instance, budget int, method string, opts Options) (*Result, error) {
+	rho, gamma, err := solveInstance(ctx, inst, int64(budget), opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rho: int(rho), ContingencySet: gamma, Method: method, Witnesses: inst.NumWitnesses()}, nil
+}
+
+// solveInstance is the one exact-path entry point: every exact API, unit
+// or weighted, lands here with an IR in hand. It returns the minimum total
+// deletion cost (costs from the instance's weights; ρ on an unweighted
+// instance) and one optimal contingency set (nil when the cost is 0). If
+// budget >= 0 and the minimum exceeds it, it returns budget+1 and a nil
+// set. Unless opts force the monolithic solver, it runs the
+// kernel+decompose pipeline: kernelize the normalized family, split the
+// kernel into connected components, solve each component independently,
+// and assemble the cost as forced + Σ component minima (additivity:
+// components share no elements, so hitting sets combine disjointly).
+func solveInstance(ctx context.Context, inst *witset.Instance, budget int64, opts Options) (int64, []db.Tuple, error) {
 	if inst.Unbreakable() {
-		return nil, ErrUnbreakable
+		return 0, nil, ErrUnbreakable
 	}
 	if inst.NumWitnesses() == 0 {
-		return &Result{Rho: 0, Method: method, Witnesses: inst.NumWitnesses()}, nil
+		return 0, nil, nil
 	}
 	if opts.Monolithic || opts.KeepSupersets {
 		// KeepSupersets measures the raw family, which the kernel would
 		// immediately re-normalize, so it implies the monolithic path.
-		size, chosen, err := solveFamily(ctx, inst.Family(opts.KeepSupersets), budget, opts)
-		if err != nil {
-			return nil, err
+		cost, chosen, err := solveFamily(ctx, inst.Family(opts.KeepSupersets), budget, opts)
+		if err != nil || chosen == nil {
+			return cost, nil, err
 		}
-		res := &Result{Rho: size, Method: method, Witnesses: inst.NumWitnesses()}
-		if chosen != nil {
-			res.ContingencySet = inst.TupleSet(chosen)
-		}
-		return res, nil
+		return cost, inst.TupleSet(chosen), nil
 	}
 
 	kern, err := inst.KernelCtx(ctx)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	chosen := append([]int32(nil), kern.Forced...)
-	rho := len(chosen)
-	over := func() *Result {
-		return &Result{Rho: budget + 1, Method: method, Witnesses: inst.NumWitnesses()}
+	cost := int64(0)
+	for _, id := range kern.Forced {
+		cost += inst.Weight(id)
 	}
-	if budget >= 0 && rho > budget {
-		return over(), nil
+	if budget >= 0 && cost > budget {
+		return budget + 1, nil, nil
 	}
 	comps := kern.Components()
 	for ci, c := range comps {
-		b := -1
+		b := int64(-1)
 		if budget >= 0 {
-			// Every component still unsolved needs at least one deletion
-			// (its family is non-empty), so this component may use at most
-			// what remains after reserving one per pending sibling.
-			b = budget - rho - (len(comps) - ci - 1)
+			// Every component still unsolved needs at least one deletion of
+			// cost >= 1 (its family is non-empty), so this component may
+			// use at most what remains after reserving 1 per pending
+			// sibling.
+			b = budget - cost - int64(len(comps)-ci-1)
 			if b < 0 {
-				return over(), nil
+				return budget + 1, nil, nil
 			}
 		}
 		size, ids, err := solveFamily(ctx, c.Fam, b, opts)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		if b >= 0 && size > b {
-			return over(), nil
+			return budget + 1, nil, nil
 		}
-		rho += size
+		cost += size
 		chosen = append(chosen, c.ToGlobal(ids)...)
 	}
-	res := &Result{Rho: rho, Method: method, Witnesses: inst.NumWitnesses()}
-	if rho > 0 {
-		res.ContingencySet = inst.TupleSet(chosen)
+	if cost == 0 {
+		return 0, nil, nil
 	}
-	return res, nil
+	return cost, inst.TupleSet(chosen), nil
 }
 
 // Options are ablation switches for the exact solver, used by the
@@ -176,7 +185,7 @@ func ExactWithOptions(q *cq.Query, d *db.Database, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return solveInstance(context.Background(), inst, -1, "exact-ablation", opts)
+	return exactResult(context.Background(), inst, -1, "exact-ablation", opts)
 }
 
 // Decide reports whether (D, k) ∈ RES(q): D |= q and some contingency set

@@ -45,7 +45,7 @@ func TestBoundHierarchyAdmissible(t *testing.T) {
 		}
 
 		greedy := h.greedy()
-		if len(greedy) < opt {
+		if int64(len(greedy)) < opt {
 			t.Fatalf("trial %d: greedy %d below optimum %d", trial, len(greedy), opt)
 		}
 		hit := make([]bool, len(fam.Rows))
@@ -90,12 +90,12 @@ func TestWeightedBoundHierarchyAdmissible(t *testing.T) {
 		}
 		fam.W = w
 
-		opt, _, err := SolveFamilyWeighted(context.Background(), fam, -1)
+		opt, _, err := SolveFamily(context.Background(), fam, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		h := newWeightedHittingSet(fam)
+		h := newHittingSet(fam)
 		if pack := h.lowerBound(); pack > opt {
 			t.Fatalf("trial %d: weighted packing bound %d > optimum %d (rows %v, w %v)",
 				trial, pack, opt, fam.Rows, w)
@@ -105,7 +105,7 @@ func TestWeightedBoundHierarchyAdmissible(t *testing.T) {
 				trial, lp, opt, fam.Rows, w)
 		}
 
-		greedy := witset.GreedyHittingSetWeighted(fam)
+		greedy := witset.GreedyHittingSet(fam)
 		cost := int64(0)
 		for _, e := range greedy {
 			cost += w[e]

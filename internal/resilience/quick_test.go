@@ -150,7 +150,7 @@ func TestQuickHittingSetNormalization(t *testing.T) {
 		hs := newHittingSet(witset.NewFamily(fam, 6, false))
 		got, sol := hs.solve(-1)
 		want := bruteHitting(fam, 6)
-		if got != want {
+		if got != int64(want) {
 			return false
 		}
 		// The returned solution must actually hit every set.

@@ -55,7 +55,8 @@ func ResponsibilityCtx(ctx context.Context, q *cq.Query, d *db.Database, t db.Tu
 	if err != nil {
 		return 0, nil, err
 	}
-	return ResponsibilityOnInstance(ctx, inst, d, t)
+	k, gamma, err := ResponsibilityOnInstance(ctx, inst, d, t)
+	return int(k), gamma, err
 }
 
 // validateProbe rejects probe tuples that can never be causes for
@@ -73,7 +74,10 @@ func validateProbe(q *cq.Query, d *db.Database, t db.Tuple) error {
 // ResponsibilityOnInstance computes responsibility over a prebuilt
 // witness-hypergraph IR, which is how the serving layer reuses one cached
 // IR across many responsibility probes against the same (query, database)
-// pair. d must be the database the instance was built from.
+// pair. d must be the database the instance was built from. On an instance
+// carrying per-tuple deletion costs the returned k is the minimum total
+// cost of a contingency set making t counterfactual (the responsibility
+// score is then 1/(1+k)); unweighted, it is the minimum size.
 //
 // The computation rides the decompose pipeline: t lives in exactly one
 // connected component of the normalized family, the surviving-witness
@@ -82,7 +86,7 @@ func validateProbe(q *cq.Query, d *db.Database, t db.Tuple) error {
 // hitting set. So k = (in-component responsibility) + Σ other components'
 // minima, with the candidate loop running over a component instead of the
 // whole family.
-func ResponsibilityOnInstance(ctx context.Context, inst *witset.Instance, d *db.Database, t db.Tuple) (int, []db.Tuple, error) {
+func ResponsibilityOnInstance(ctx context.Context, inst *witset.Instance, d *db.Database, t db.Tuple) (int64, []db.Tuple, error) {
 	if err := validateProbe(inst.Query(), d, t); err != nil {
 		return 0, nil, err
 	}
@@ -141,9 +145,10 @@ func ResponsibilityOnInstance(ctx context.Context, inst *witset.Instance, d *db.
 
 // responsibilityInFamily runs the per-candidate surviving-witness loop over
 // one family: for each row containing t, forbid its elements and solve the
-// minimum hitting set of the remaining t-free rows. Returns k = -1 when no
-// candidate is feasible (t is not counterfactual within this family).
-func responsibilityInFamily(ctx context.Context, poll *ctxpoll.Poller, fam *witset.Family, tid int32) (int, []int32, error) {
+// minimum-cost hitting set of the remaining t-free rows (costs from
+// fam.W). Returns k = -1 when no candidate is feasible (t is not
+// counterfactual within this family).
+func responsibilityInFamily(ctx context.Context, poll *ctxpoll.Poller, fam *witset.Family, tid int32) (int64, []int32, error) {
 	var withT, withoutT [][]int32
 	for _, row := range fam.Rows {
 		uses := false
@@ -164,7 +169,7 @@ func responsibilityInFamily(ctx context.Context, poll *ctxpoll.Poller, fam *wits
 	}
 
 	forbidden := witset.NewBits(fam.N)
-	best := -1
+	best := int64(-1)
 	var bestGamma []int32
 	for _, surviving := range withT {
 		if err := ctx.Err(); err != nil {
@@ -197,14 +202,16 @@ func responsibilityInFamily(ctx context.Context, poll *ctxpoll.Poller, fam *wits
 		if len(sub) == 0 {
 			return 0, nil, nil // empty contingency suffices within this family
 		}
-		budget := -1
+		budget := int64(-1)
 		if best >= 0 {
 			budget = best - 1
 			if budget < 0 {
 				break
 			}
 		}
-		hs := newHittingSet(witset.NewFamily(sub, fam.N, false))
+		subFam := witset.NewFamily(sub, fam.N, false)
+		subFam.W = fam.W // same universe, so the costs carry over
+		hs := newHittingSet(subFam)
 		hs.poll = poll
 		size, chosen := hs.solve(budget)
 		if err := poll.Err(); err != nil {
@@ -224,7 +231,7 @@ func responsibilityInFamily(ctx context.Context, poll *ctxpoll.Poller, fam *wits
 // responsibilityMonolithic is the pre-pipeline computation over the raw
 // rows of the whole instance, kept as the differential suite's oracle for
 // pipeline ≡ monolithic parity.
-func responsibilityMonolithic(ctx context.Context, inst *witset.Instance, d *db.Database, t db.Tuple) (int, []db.Tuple, error) {
+func responsibilityMonolithic(ctx context.Context, inst *witset.Instance, d *db.Database, t db.Tuple) (int64, []db.Tuple, error) {
 	if err := validateProbe(inst.Query(), d, t); err != nil {
 		return 0, nil, err
 	}
@@ -236,7 +243,7 @@ func responsibilityMonolithic(ctx context.Context, inst *witset.Instance, d *db.
 		return 0, nil, ErrNotCounterfactual
 	}
 	poll := ctxpoll.New(ctx)
-	rawFam := &witset.Family{N: inst.NumTuples(), Rows: inst.Rows()}
+	rawFam := &witset.Family{N: inst.NumTuples(), Rows: inst.Rows(), W: inst.Weights()}
 	k, gammaIDs, err := responsibilityInFamily(ctx, poll, rawFam, tid)
 	if err != nil {
 		return 0, nil, err

@@ -1,34 +1,19 @@
 package resilience
 
-import (
-	"context"
-	"math"
-
-	"repro/internal/ctxpoll"
-	"repro/internal/db"
-	"repro/internal/witset"
-)
+import "repro/internal/db"
 
 // Min-weight resilience: every tuple carries a positive integer deletion
 // cost (witset.Instance.WithWeights) and ρ_w(q, D) is the minimum total
 // cost of a contingency set — the ILP generalization of the paper's
 // cardinality question. With all costs 1, ρ_w = ρ, which is what the
-// weighted differential suite pins. The solver is the same branch-and-bound
-// over the witness family with every bound generalized:
-//
-//   - packing lower bound: disjoint unhit rows need distinct elements, and
-//     a row's element costs at least the row's cheapest member, so the sum
-//     of per-packed-row minima is admissible;
-//   - LP dual-greedy bound: the dual capacity of element e is its cost
-//     W[e] instead of 1; any feasible dual sum is at most the fractional
-//     optimum, which is at most the integral one;
-//   - greedy upper bound: coverage-per-cost greedy
-//     (witset.GreedyHittingSetWeighted) seeds the incumbent.
-//
-// Budgets are total-cost budgets. Kernelization stays sound because the
-// domination rule is weight-aware (see witset.Kernelize), and component
-// minima still add: components share no elements, so costs are disjoint
-// sums.
+// weighted differential suite pins. There is no separate weighted solver:
+// the one branch-and-bound (hitting.go) reads the family's costs, nil
+// meaning unit cost, and every entry point answers both cost models;
+// WeightedResult is the result of the ones that report a total cost.
+// Budgets are total-cost budgets.
+// Kernelization stays sound because the domination rule is weight-aware
+// (see witset.Kernelize), and component minima still add: components share
+// no elements, so costs are disjoint sums.
 
 // WeightedResult is the outcome of a min-weight resilience computation.
 type WeightedResult struct {
@@ -41,319 +26,4 @@ type WeightedResult struct {
 	Method string
 	// Witnesses is the number of witnesses enumerated.
 	Witnesses int
-}
-
-// SolveWeightedOnInstance computes ρ_w over a prebuilt witness-hypergraph
-// IR carrying per-tuple weights (an unweighted instance solves with all
-// costs 1). It runs the same kernel+decompose pipeline as the cardinality
-// solver; if budget >= 0 and ρ_w > budget, the result has Cost = budget+1
-// and a nil contingency set.
-func SolveWeightedOnInstance(ctx context.Context, inst *witset.Instance, budget int64) (*WeightedResult, error) {
-	return solveWeightedInstance(ctx, inst, budget, "weighted-exact", Options{})
-}
-
-// SolveWeightedWithOptions is SolveWeightedOnInstance with ablation
-// switches: Monolithic is the differential suite's oracle for weighted
-// pipeline ≡ weighted monolithic, and the bound switches pin each weighted
-// bound's admissibility the same way the cardinality ablation matrix does.
-func SolveWeightedWithOptions(ctx context.Context, inst *witset.Instance, budget int64, opts Options) (*WeightedResult, error) {
-	return solveWeightedInstance(ctx, inst, budget, "weighted-exact-ablation", opts)
-}
-
-func solveWeightedInstance(ctx context.Context, inst *witset.Instance, budget int64, method string, opts Options) (*WeightedResult, error) {
-	if inst.Unbreakable() {
-		return nil, ErrUnbreakable
-	}
-	if inst.NumWitnesses() == 0 {
-		return &WeightedResult{Cost: 0, Method: method, Witnesses: inst.NumWitnesses()}, nil
-	}
-	if opts.Monolithic || opts.KeepSupersets {
-		cost, chosen, err := solveFamilyWeighted(ctx, inst.Family(opts.KeepSupersets), budget, opts)
-		if err != nil {
-			return nil, err
-		}
-		res := &WeightedResult{Cost: cost, Method: method, Witnesses: inst.NumWitnesses()}
-		if chosen != nil {
-			res.ContingencySet = inst.TupleSet(chosen)
-		}
-		return res, nil
-	}
-
-	kern, err := inst.KernelCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	chosen := append([]int32(nil), kern.Forced...)
-	cost := int64(0)
-	for _, id := range kern.Forced {
-		cost += inst.Weight(id)
-	}
-	over := func() *WeightedResult {
-		return &WeightedResult{Cost: budget + 1, Method: method, Witnesses: inst.NumWitnesses()}
-	}
-	if budget >= 0 && cost > budget {
-		return over(), nil
-	}
-	comps := kern.Components()
-	for ci, c := range comps {
-		b := int64(-1)
-		if budget >= 0 {
-			// Every pending component needs at least one deletion of cost
-			// >= 1, so reserve 1 per pending sibling, as in the cardinality
-			// pipeline.
-			b = budget - cost - int64(len(comps)-ci-1)
-			if b < 0 {
-				return over(), nil
-			}
-		}
-		size, ids, err := solveFamilyWeighted(ctx, c.Fam, b, opts)
-		if err != nil {
-			return nil, err
-		}
-		if b >= 0 && size > b {
-			return over(), nil
-		}
-		cost += size
-		chosen = append(chosen, c.ToGlobal(ids)...)
-	}
-	res := &WeightedResult{Cost: cost, Method: method, Witnesses: inst.NumWitnesses()}
-	if cost > 0 {
-		res.ContingencySet = inst.TupleSet(chosen)
-	}
-	return res, nil
-}
-
-// SolveFamilyWeighted computes a minimum-cost hitting set of fam exactly
-// (costs from fam.W; 1 each when nil), returning its total cost and one
-// optimal set of element ids. It is the weighted per-component building
-// block the engine races against the weighted SAT binary search. If budget
-// >= 0 and the minimum exceeds it, it returns (budget+1, nil, nil).
-func SolveFamilyWeighted(ctx context.Context, fam *witset.Family, budget int64) (int64, []int32, error) {
-	return solveFamilyWeighted(ctx, fam, budget, Options{})
-}
-
-func solveFamilyWeighted(ctx context.Context, fam *witset.Family, budget int64, opts Options) (int64, []int32, error) {
-	h := newWeightedHittingSet(fam)
-	h.noLowerBound = opts.DisableLowerBound
-	h.noLPBound = opts.DisableLPBound
-	h.poll = ctxpoll.New(ctx)
-	cost, chosen := h.solve(budget)
-	if err := h.poll.Err(); err != nil {
-		return 0, nil, err
-	}
-	return cost, chosen, nil
-}
-
-// weightedHittingSet is the min-cost twin of hittingSet. It is a separate
-// type rather than a parameterization so the cardinality solver's hot loop
-// (guarded by the benchmark gate) keeps its int arithmetic untouched.
-type weightedHittingSet struct {
-	fam *witset.Family
-	w   []int64 // per-element costs, never nil here, all >= 1
-
-	hitCount []int32
-	chosen   witset.Bits
-	numUnhit int
-
-	best       int64
-	bestChosen []int32
-	limit      int64 // stop exploring above this cost (inclusive); -1 = none
-
-	pack  witset.Bits
-	lpCap []float64
-	lpDeg []int32
-
-	noLowerBound bool
-	noLPBound    bool
-
-	poll *ctxpoll.Poller
-}
-
-func newWeightedHittingSet(fam *witset.Family) *weightedHittingSet {
-	w := fam.W
-	if w == nil {
-		w = make([]int64, fam.N)
-		for i := range w {
-			w[i] = 1
-		}
-	}
-	return &weightedHittingSet{
-		fam:      fam,
-		w:        w,
-		hitCount: make([]int32, len(fam.Rows)),
-		chosen:   witset.NewBits(fam.N),
-		numUnhit: len(fam.Rows),
-		pack:     witset.NewBits(fam.N),
-		lpCap:    make([]float64, fam.N),
-		lpDeg:    make([]int32, fam.N),
-		limit:    -1,
-	}
-}
-
-// solve returns the minimum hitting set cost and one optimal solution. If
-// limit >= 0 and every solution exceeds limit, it returns (limit+1, nil).
-func (h *weightedHittingSet) solve(limit int64) (int64, []int32) {
-	h.limit = limit
-	greedy := witset.GreedyHittingSetWeighted(h.fam)
-	h.best = 0
-	for _, e := range greedy {
-		h.best += h.w[e]
-	}
-	h.bestChosen = greedy
-	if limit >= 0 && h.best > limit+1 {
-		h.best = limit + 1
-		h.bestChosen = nil
-	}
-	var cur []int32
-	h.branch(cur, 0, 0)
-	return h.best, h.bestChosen
-}
-
-// branch explores extensions of cur (total cost curCost); from is the lowest
-// row index that may still be unhit, exactly as in the cardinality solver.
-func (h *weightedHittingSet) branch(cur []int32, curCost int64, from int) {
-	if h.poll.Cancelled() {
-		return
-	}
-	if h.numUnhit == 0 {
-		if curCost < h.best {
-			h.best = curCost
-			h.bestChosen = append([]int32(nil), cur...)
-		}
-		return
-	}
-	lb := int64(1)
-	if !h.noLowerBound {
-		lb = h.lowerBound()
-	}
-	if curCost+lb >= h.best {
-		return
-	}
-	if !h.noLPBound {
-		if lp := h.lpBound(); curCost+lp >= h.best {
-			return
-		}
-	}
-	pick := -1
-	for si := from; si < len(h.fam.Rows); si++ {
-		if h.hitCount[si] == 0 {
-			pick = si
-			break
-		}
-	}
-	for _, e := range h.fam.Rows[pick] {
-		if h.chosen.Has(e) {
-			continue
-		}
-		h.choose(e)
-		h.branch(append(cur, e), curCost+h.w[e], pick+1)
-		h.unchoose(e)
-	}
-}
-
-func (h *weightedHittingSet) choose(e int32) {
-	h.chosen.Set(e)
-	for _, si := range h.fam.Occ[e] {
-		h.hitCount[si]++
-		if h.hitCount[si] == 1 {
-			h.numUnhit--
-		}
-	}
-}
-
-func (h *weightedHittingSet) unchoose(e int32) {
-	h.chosen.Unset(e)
-	for _, si := range h.fam.Occ[e] {
-		h.hitCount[si]--
-		if h.hitCount[si] == 0 {
-			h.numUnhit++
-		}
-	}
-}
-
-// lowerBound packs pairwise-disjoint unhit rows; each needs its own
-// element, costing at least the row's cheapest member.
-func (h *weightedHittingSet) lowerBound() int64 {
-	h.pack.Clear()
-	lb := int64(0)
-	for si, bits := range h.fam.Bits {
-		if h.hitCount[si] > 0 {
-			continue
-		}
-		if witset.Disjoint(bits, h.pack) {
-			h.pack.Or(bits)
-			min := int64(math.MaxInt64)
-			for _, e := range h.fam.Rows[si] {
-				if h.w[e] < min {
-					min = h.w[e]
-				}
-			}
-			lb += min
-		}
-	}
-	return lb
-}
-
-// lpBound is the weighted dual feasible bound: duals y_row must satisfy
-// Σ_{row ∋ e} y_row ≤ W[e], so phase 1 splits each element's capacity
-// uniformly over its degree (y = min_e W[e]/deg(e)) and phase 2 saturates
-// remaining capacity greedily. Weak LP duality gives Σ y ≤ fractional
-// optimum ≤ ρ_w, and the optimum is an integer (integer costs), so
-// rounding up after the conservative epsilon keeps the bound admissible.
-func (h *weightedHittingSet) lpBound() int64 {
-	for i := range h.lpCap {
-		h.lpCap[i] = float64(h.w[i])
-		h.lpDeg[i] = 0
-	}
-	for si, row := range h.fam.Rows {
-		if h.hitCount[si] > 0 {
-			continue
-		}
-		for _, e := range row {
-			h.lpDeg[e]++
-		}
-	}
-	total := 0.0
-	for si, row := range h.fam.Rows {
-		if h.hitCount[si] > 0 {
-			continue
-		}
-		y := math.MaxFloat64
-		for _, e := range row {
-			if v := float64(h.w[e]) / float64(h.lpDeg[e]); v < y {
-				y = v
-			}
-			if c := h.lpCap[e]; c < y {
-				y = c
-			}
-		}
-		if y <= 0 {
-			continue
-		}
-		for _, e := range row {
-			h.lpCap[e] -= y
-		}
-		total += y
-	}
-	for si, row := range h.fam.Rows {
-		if h.hitCount[si] > 0 {
-			continue
-		}
-		y := math.MaxFloat64
-		for _, e := range row {
-			if c := h.lpCap[e]; c < y {
-				y = c
-			}
-		}
-		if y <= 0 {
-			continue
-		}
-		for _, e := range row {
-			h.lpCap[e] -= y
-		}
-		total += y
-	}
-	// The epsilon scales with the total so big-cost instances stay on the
-	// conservative side of float error before rounding up.
-	return int64(math.Ceil(total - 1e-9*(1+total)))
 }

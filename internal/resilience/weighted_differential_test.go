@@ -122,10 +122,14 @@ func TestDifferentialWeightedUniformEqualsCardinality(t *testing.T) {
 			q := cq.MustParse(s.query)
 			d := datagen.Random(rng, q, s.domain, s.tuples, 0.3)
 			inst := buildWeighted(t, q, d, func(int32) int64 { return 1 })
+			base, err := witset.Build(context.Background(), q, d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			instances++
 
 			card, cardErr := Exact(q, d)
-			wres, wErr := SolveWeightedOnInstance(context.Background(), inst, -1)
+			scost, sgamma, wErr := solveInstance(context.Background(), inst, -1, Options{})
 			if (cardErr == nil) != (wErr == nil) {
 				t.Fatalf("%s round %d: cardinality err = %v, weighted err = %v", q.Name, round, cardErr, wErr)
 			}
@@ -135,18 +139,18 @@ func TestDifferentialWeightedUniformEqualsCardinality(t *testing.T) {
 				}
 				continue
 			}
-			if wres.Cost != int64(card.Rho) {
+			if scost != int64(card.Rho) {
 				t.Fatalf("%s round %d: uniform weighted cost = %d, cardinality ρ = %d",
-					q.Name, round, wres.Cost, card.Rho)
+					q.Name, round, scost, card.Rho)
 			}
-			if wres.Cost > 0 {
-				if err := VerifyContingency(q, d, wres.ContingencySet); err != nil {
+			if scost > 0 {
+				if err := VerifyContingency(q, d, sgamma); err != nil {
 					t.Fatalf("%s round %d: weighted contingency invalid: %v", q.Name, round, err)
 				}
 			}
 
 			// Enumerator parity: identical cost and identical set lists.
-			crho, csets, err := EnumerateMinimumOnInstance(context.Background(), inst, d, 0)
+			crho, csets, err := EnumerateMinimumOnInstance(context.Background(), base, d, 0)
 			if err != nil {
 				t.Fatalf("%s round %d: cardinality enumerate: %v", q.Name, round, err)
 			}
@@ -168,8 +172,8 @@ func TestDifferentialWeightedUniformEqualsCardinality(t *testing.T) {
 			// Responsibility parity for every endogenous tuple.
 			for id := int32(0); id < int32(inst.NumTuples()); id++ {
 				tup := inst.Tuple(id)
-				ck, _, cErr := ResponsibilityOnInstance(context.Background(), inst, d, tup)
-				wk, wg, wErr := WeightedResponsibilityOnInstance(context.Background(), inst, d, tup)
+				ck, _, cErr := ResponsibilityOnInstance(context.Background(), base, d, tup)
+				wk, wg, wErr := ResponsibilityOnInstance(context.Background(), inst, d, tup)
 				if (cErr == nil) != (wErr == nil) || (cErr != nil && cErr != wErr) {
 					t.Fatalf("%s round %d: responsibility(%s) cardinality err = %v, weighted err = %v",
 						q.Name, round, d.TupleString(tup), cErr, wErr)
@@ -177,7 +181,7 @@ func TestDifferentialWeightedUniformEqualsCardinality(t *testing.T) {
 				if cErr != nil {
 					continue
 				}
-				if wk != int64(ck) {
+				if wk != ck {
 					t.Fatalf("%s round %d: responsibility(%s) weighted k = %d, cardinality k = %d",
 						q.Name, round, d.TupleString(tup), wk, ck)
 				}
@@ -218,7 +222,7 @@ func TestDifferentialWeightedPipelineVsMonolithic(t *testing.T) {
 			}
 			want, unbreakable := referenceWeightedCost(q, d, wOf)
 
-			pipe, pipeErr := SolveWeightedOnInstance(context.Background(), inst, -1)
+			pipe, pipeGamma, pipeErr := solveInstance(context.Background(), inst, -1, Options{})
 			if unbreakable {
 				if pipeErr != ErrUnbreakable {
 					t.Fatalf("%s round %d: reference says unbreakable, weighted err = %v", q.Name, round, pipeErr)
@@ -228,15 +232,15 @@ func TestDifferentialWeightedPipelineVsMonolithic(t *testing.T) {
 			if pipeErr != nil {
 				t.Fatalf("%s round %d: weighted pipeline: %v", q.Name, round, pipeErr)
 			}
-			if pipe.Cost != want {
+			if pipe != want {
 				t.Fatalf("%s round %d: weighted pipeline cost = %d, reference = %d\n%s",
-					q.Name, round, pipe.Cost, want, d)
+					q.Name, round, pipe, want, d)
 			}
-			if pipe.Cost > 0 {
-				if got := costOf(inst, wOf, pipe.ContingencySet); got != pipe.Cost {
-					t.Fatalf("%s round %d: contingency cost %d ≠ reported %d", q.Name, round, got, pipe.Cost)
+			if pipe > 0 {
+				if got := costOf(inst, wOf, pipeGamma); got != pipe {
+					t.Fatalf("%s round %d: contingency cost %d ≠ reported %d", q.Name, round, got, pipe)
 				}
-				if err := VerifyContingency(q, d, pipe.ContingencySet); err != nil {
+				if err := VerifyContingency(q, d, pipeGamma); err != nil {
 					t.Fatalf("%s round %d: weighted contingency invalid: %v", q.Name, round, err)
 				}
 			}
@@ -250,13 +254,13 @@ func TestDifferentialWeightedPipelineVsMonolithic(t *testing.T) {
 				{KeepSupersets: true},
 				{Monolithic: true, DisableLowerBound: true, DisableLPBound: true},
 			} {
-				ab, err := SolveWeightedWithOptions(context.Background(), inst, -1, opts)
+				ab, _, err := solveInstance(context.Background(), inst, -1, opts)
 				if err != nil {
 					t.Fatalf("%s round %d: weighted ablation %+v: %v", q.Name, round, opts, err)
 				}
-				if ab.Cost != want {
+				if ab != want {
 					t.Fatalf("%s round %d: weighted ablation %+v cost = %d, want %d",
-						q.Name, round, opts, ab.Cost, want)
+						q.Name, round, opts, ab, want)
 				}
 			}
 
@@ -266,7 +270,7 @@ func TestDifferentialWeightedPipelineVsMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s round %d: weighted enumerate: %v", q.Name, round, err)
 			}
-			mcost, msets, err := enumerateMinimumWeightedMonolithic(context.Background(), inst, d, 0)
+			mcost, msets, err := enumerateMinimumMonolithic(context.Background(), inst, d, 0)
 			if err != nil {
 				t.Fatalf("%s round %d: weighted monolithic enumerate: %v", q.Name, round, err)
 			}
@@ -322,7 +326,7 @@ func TestDifferentialWeightedResponsibilityVsReference(t *testing.T) {
 			for id := int32(0); id < int32(inst.NumTuples()); id++ {
 				tup := inst.Tuple(id)
 				want := referenceWeightedResponsibility(sets, tup, wOf)
-				got, gamma, err := WeightedResponsibilityOnInstance(context.Background(), inst, d, tup)
+				got, gamma, err := ResponsibilityOnInstance(context.Background(), inst, d, tup)
 				if want < 0 {
 					if err != ErrNotCounterfactual {
 						t.Fatalf("%s round %d: responsibility(%s): err = %v, want ErrNotCounterfactual",
@@ -451,7 +455,7 @@ func TestDifferentialWeightedScalingInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, resErr := SolveWeightedOnInstance(context.Background(), inst, -1)
+			res, _, resErr := solveInstance(context.Background(), inst, -1, Options{})
 			for _, c := range []int64{2, 5} {
 				sv := make([]int64, len(wv))
 				for i := range sv {
@@ -461,16 +465,16 @@ func TestDifferentialWeightedScalingInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sres, sErr := SolveWeightedOnInstance(context.Background(), sinst, -1)
+				sres, _, sErr := solveInstance(context.Background(), sinst, -1, Options{})
 				if (resErr == nil) != (sErr == nil) {
 					t.Fatalf("%s round %d: scale %d err = %v, base err = %v", q.Name, round, c, sErr, resErr)
 				}
 				if resErr != nil {
 					continue
 				}
-				if sres.Cost != c*res.Cost {
+				if sres != c*res {
 					t.Fatalf("%s round %d: scale %d cost = %d, want %d·%d = %d",
-						q.Name, round, c, sres.Cost, c, res.Cost, c*res.Cost)
+						q.Name, round, c, sres, c, res, c*res)
 				}
 			}
 		}

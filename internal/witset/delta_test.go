@@ -322,7 +322,9 @@ func TestKernelCtxCanceled(t *testing.T) {
 // in the same order, same Global remaps, same normalized rows and costs —
 // and every memoized fingerprint, carried or new, must equal a fresh
 // rendering; the rows themselves must match a scratch Build, and
-// DiffComponents must count what fresh fingerprints count. Chains of random batches over the delta suite's query shapes
+// DiffComponents must count what fresh fingerprints count. A weighted view
+// of every eighth migrated instance must re-cost its split into exactly
+// what decomposing the view's own family gives. Chains of random batches over the delta suite's query shapes
 // run on a small dense domain, where most batches merge or split
 // components, and on a clustered one, where every fact stays inside one
 // of many small clusters of constants: most components are untouched and
@@ -342,6 +344,7 @@ func TestCarriedSplitDifferential(t *testing.T) {
 		rels := relationsOf(q)
 		for di, shape := range []randomShape{{domain: 8, cluster: 8, facts: 12}, {domain: 60, cluster: 4, facts: 45}} {
 			rng := rand.New(rand.NewSource(int64(1000 + 10*qi + di)))
+			costRng := rand.New(rand.NewSource(int64(2000 + 10*qi + di)))
 			d := db.New()
 			for _, r := range rels {
 				for i := 0; i < shape.facts; i++ {
@@ -383,6 +386,19 @@ func TestCarriedSplitDifferential(t *testing.T) {
 				got := next.Components()
 				want := Decompose(next.Family(true))
 				compareSplits(t, label, got, want)
+				if step%8 == 0 {
+					// A weighted view re-costs the carried split, which
+					// must be what decomposing its own family gives.
+					wv := make([]int64, next.NumTuples())
+					for i := range wv {
+						wv[i] = 1 + costRng.Int63n(5)
+					}
+					view, err := next.WithWeights(wv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareSplits(t, label+" weighted view", view.Components(), Decompose(view.Family(true)))
+				}
 				for _, c := range got {
 					if before[c] {
 						carried++
@@ -489,4 +505,70 @@ func (sh randomShape) batch(rng *rand.Rand, d *db.Database, rels []relInfo) []Mu
 		}
 	}
 	return out
+}
+
+// TestComponentKeysCoverCosts pins the fingerprint side of one component
+// cache for both cost models: a weighted instance's keys differ from the
+// unweighted ones (even at all-ones costs), and raising one tuple's cost
+// changes exactly the key of the component holding that tuple.
+func TestComponentKeysCoverCosts(t *testing.T) {
+	q := cq.MustParse("qmchain :- R(x,y), R(y,z)")
+	rng := rand.New(rand.NewSource(12))
+	d := datagen.ManyComponentChainDB(rng, 8, 3, 8)
+	base, err := Build(context.Background(), q, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]int64, base.NumTuples())
+	for i := range ones {
+		ones[i] = 1
+	}
+	raised := append([]int64(nil), ones...)
+	raised[0] = 3
+	unitInst, err := base.WithWeights(ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raisedInst, err := base.WithWeights(raised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The three instances split the same rows alike, so their components
+	// correspond by position.
+	unitComps, costlyComps := unitInst.Components(), raisedInst.Components()
+	for i, c := range base.Components() {
+		plain, unit, costly := base.ComponentKey(c), unitInst.ComponentKey(unitComps[i]), raisedInst.ComponentKey(costlyComps[i])
+		if plain == unit {
+			t.Fatalf("component %d: all-ones weighted key equals the unweighted key", i)
+		}
+		if holds := c.Global[0] == 0; (unit != costly) != holds {
+			t.Fatalf("component %d (holds tuple 0: %v): key changed = %v", i, holds, unit != costly)
+		}
+	}
+}
+
+// TestCostKeyListsUsedTuplesOnly pins the cost part of a weighted key to
+// the tuples the component's normalized rows use. Here both components
+// normalize to the one row {R(1,1)}, and each also holds a tuple that only
+// a dropped superset row uses: listing the costs of all their tuples in
+// tuple order would read 5, 7 for both, although R(1,1) costs 7 in one and
+// 5 in the other.
+func TestCostKeyListsUsedTuplesOnly(t *testing.T) {
+	tuples := []db.Tuple{db.NewTuple("R", 0, 0), db.NewTuple("R", 1, 1), db.NewTuple("R", 2, 2)}
+	key := func(rows [][]int32, w []int64) string {
+		in := &Instance{tuples: tuples, weights: w}
+		comps := decompose(rows, len(tuples), w)
+		if len(comps) != 1 {
+			t.Fatalf("%d components, want 1", len(comps))
+		}
+		return in.ComponentKey(comps[0])
+	}
+	a := key([][]int32{{1}, {0, 1}}, []int64{5, 7, 1})
+	b := key([][]int32{{1}, {1, 2}}, []int64{1, 5, 7})
+	if a == b {
+		t.Fatal("R(1,1) at cost 7 and at cost 5 share a key")
+	}
+	if c := key([][]int32{{1}, {1, 2}}, []int64{1, 7, 9}); a != c {
+		t.Fatal("the cost of a tuple no kept row uses changed the key")
+	}
 }

@@ -35,6 +35,16 @@
 //     and superset-eliminated only (hitting a subset always hits its
 //     supersets), and rows are ordered by increasing size so the first
 //     unhit row is always a smallest one.
+//   - Deletion costs live in Family.W, nil meaning unit cost: an
+//     instance derived with WithWeights carries them into every family,
+//     kernel and component it derives, and every consumer (the
+//     branch-and-bound, GreedyHittingSet, the SAT counter) reads them
+//     from there. The weighted view re-costs its base instance's
+//     component split rather than decomposing again. ComponentKey
+//     fingerprints cover the costs on a weighted instance only, so
+//     unweighted keys are unchanged and never equal a weighted one; a
+//     view component's key adds the costs to the memoized key of the
+//     unweighted component it re-costs.
 //
 // # The kernel+decompose pipeline
 //

@@ -1,6 +1,8 @@
 package witset
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,13 +22,39 @@ import (
 
 // ComponentKey returns the canonical content fingerprint of component c of
 // this instance: each row rendered as its sorted global tuples, rows
-// sorted, all framed unambiguously. Equal keys imply isomorphic hitting-
-// set instances over identical ground tuples (same ρ, and any optimum of
-// one is an optimum of the other).
+// sorted, all framed unambiguously, and on a weighted instance the costs
+// of those tuples ahead of that (costKey). Equal keys imply isomorphic
+// hitting-set instances over identical ground tuples at identical costs
+// (same minimum cost, and any optimum of one is an optimum of the other);
+// a weighted key never equals an unweighted one.
 //
 // The key is rendered once per component and memoized on it; components
-// ApplyDelta carries across a delta keep theirs.
+// ApplyDelta carries across a delta keep theirs. A weighted view's
+// component (WithWeights) renders its rows once, on the unweighted
+// component it re-costs, so every view of one base instance shares that
+// rendering.
 func (in *Instance) ComponentKey(c *Component) string {
+	if in.weights == nil {
+		return in.plainKey(c)
+	}
+	if k := c.key.Load(); k != nil {
+		return *k
+	}
+	var plain string
+	if c.base != nil {
+		plain = in.plainKey(c.base)
+	} else {
+		plain = in.renderKey(c)
+	}
+	k := in.costKey(c, plain)
+	c.key.Store(&k)
+	return k
+}
+
+// plainKey returns the fingerprint of c's rows alone, memoized on c: the
+// key of an unweighted instance's component. Instances that share a tuple
+// universe render it alike.
+func (in *Instance) plainKey(c *Component) string {
 	if k := c.key.Load(); k != nil {
 		return *k
 	}
@@ -35,13 +63,16 @@ func (in *Instance) ComponentKey(c *Component) string {
 	return k
 }
 
-// MemoizedKey returns c's fingerprint if ComponentKey has rendered it
-// already, for this instance or for the base of a delta that carried c.
-func (c *Component) MemoizedKey() (string, bool) {
-	if k := c.key.Load(); k != nil {
-		return *k, true
+// MemoizedKey returns c's fingerprint if it is known without rendering a
+// row: ComponentKey has rendered it already, for this instance or for the
+// base of a delta that carried c, or c belongs to a weighted view and the
+// unweighted component it re-costs has its key, which then only needs the
+// costs.
+func (in *Instance) MemoizedKey(c *Component) (string, bool) {
+	if c.key.Load() == nil && (c.base == nil || c.base.key.Load() == nil) {
+		return "", false
 	}
-	return "", false
+	return in.ComponentKey(c), true
 }
 
 // renderKey renders ComponentKey's fingerprint of c.
@@ -62,6 +93,34 @@ func (in *Instance) renderKey(c *Component) string {
 	}
 	sort.Strings(rowStrs)
 	return strings.Join(rowStrs, "\x01")
+}
+
+// costKey renders a weighted instance's fingerprint of c from plain, the
+// fingerprint of c's rows alone (renderKey): two zero bytes, which no
+// tuple encoding starts with (that would be an empty relation name), the
+// number of tuples the rows use, then their costs in tuple order, all as
+// uvarints, then plain. plain fixes the rows over ground tuples, and so
+// which costs are listed and in what order.
+func (in *Instance) costKey(c *Component, plain string) string {
+	used := make([]int32, 0, len(c.Global)) // local ids of the elements some row uses
+	for e, occ := range c.Fam.Occ {
+		if len(occ) > 0 {
+			used = append(used, int32(e))
+		}
+	}
+	slices.SortFunc(used, func(x, y int32) int {
+		return db.CompareTuples(in.tuples[c.Global[x]], in.tuples[c.Global[y]])
+	})
+	var k strings.Builder
+	k.Grow(2 + binary.MaxVarintLen64*(1+len(used)) + len(plain))
+	var v [binary.MaxVarintLen64]byte
+	k.WriteString("\x00\x00")
+	k.Write(binary.AppendUvarint(v[:0], uint64(len(used))))
+	for _, e := range used {
+		k.Write(binary.AppendUvarint(v[:0], uint64(c.Fam.W[e])))
+	}
+	k.WriteString(plain)
+	return k.String()
 }
 
 // appendTupleKey appends an unambiguous encoding of t: length-prefixed

@@ -257,10 +257,42 @@ type Component struct {
 	// and a delta-maintained instance lists its rows from its components.
 	rows [][]int32
 
+	// base is, on a weighted view (Instance.WithWeights), the unweighted
+	// component of the base instance that this one re-costs; nil otherwise.
+	base *Component
+
 	// key memoizes Instance.ComponentKey. A component is shared by pointer
 	// only between instances that agree on the tuple of every id it uses
 	// (a delta's base and result), so one rendering serves all of them.
 	key atomic.Pointer[string]
+}
+
+// withCosts returns the components of a weighted view over the
+// unweighted split comps: each shares its unweighted twin's rows, family
+// and remap, with the costs w (indexed by global id) attached. Costs play
+// no part in the split or in row normalization, so this is exactly what
+// decomposing the view's own family would give.
+func withCosts(comps []*Component, w []int64) []*Component {
+	out := make([]*Component, len(comps))
+	for i, c := range comps {
+		fam := *c.Fam
+		fam.W = localCosts(w, c.Global)
+		out[i] = &Component{Fam: &fam, Global: c.Global, rows: c.rows, base: c}
+	}
+	return out
+}
+
+// localCosts returns the costs w of the global ids global, indexed like
+// global; nil when w is (unit costs).
+func localCosts(w []int64, global []int32) []int64 {
+	if w == nil {
+		return nil
+	}
+	lw := make([]int64, len(global))
+	for li, e := range global {
+		lw[li] = w[e]
+	}
+	return lw
 }
 
 // ToGlobal maps a set of local ids (as returned by a solver over Fam) back
@@ -379,13 +411,7 @@ func decompose(rows [][]int32, n int, w []int64) []*Component {
 			lrows[i] = lr
 		}
 		cf := NewFamily(lrows, len(global), false)
-		if w != nil {
-			lw := make([]int64, len(global))
-			for li, e := range global {
-				lw[li] = w[e]
-			}
-			cf.W = lw
-		}
+		cf.W = localCosts(w, global)
 		out = append(out, &Component{
 			Fam:    cf,
 			Global: global,

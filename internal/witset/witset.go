@@ -40,6 +40,10 @@ type Instance struct {
 	// every tuple costs 1 (the cardinality case); non-nil weights are all
 	// >= 1, which every weighted bound and budget computation relies on.
 	weights []int64
+	// base is the unweighted instance a weighted view was derived from
+	// (WithWeights): the view's component split re-costs base's. nil
+	// otherwise.
+	base *Instance
 
 	minOnce sync.Once
 	min     *Family // superset-eliminated family
@@ -134,12 +138,14 @@ func (in *Instance) Weight(id int32) int64 {
 
 // WithWeights returns a derived instance over the same witness hypergraph
 // with per-tuple deletion costs attached: the tuple universe and rows are
-// shared (witness enumeration is never repaid), while every lazily derived
-// structure — family, kernel, components — is private to the weighted view,
-// because kernelization's domination rule is weight-sensitive. weights is
-// indexed by tuple id, must cover the whole universe, and every cost must
-// be >= 1. The base instance is not modified; cached unweighted IRs stay
-// valid for concurrent requests.
+// shared (witness enumeration is never repaid), and so is the component
+// split, which costs play no part in — the view's components are the base
+// instance's with the costs attached, and their fingerprints reuse the
+// base components' rendering. The families and the kernel are private to
+// the view, because kernelization's domination rule is weight-sensitive.
+// weights is indexed by tuple id, must cover the whole universe, and every
+// cost must be >= 1. The base instance is not modified; cached unweighted
+// IRs stay valid for concurrent requests.
 func (in *Instance) WithWeights(weights []int64) (*Instance, error) {
 	if len(weights) != len(in.tuples) {
 		return nil, fmt.Errorf("witset: %d weights for a universe of %d tuples", len(weights), len(in.tuples))
@@ -149,6 +155,12 @@ func (in *Instance) WithWeights(weights []int64) (*Instance, error) {
 			return nil, fmt.Errorf("witset: tuple weight %d is below 1", w)
 		}
 	}
+	// A view of a view re-costs the same unweighted split; a weighted
+	// instance of no view (a delta's result) has none to offer.
+	base := in.base
+	if in.weights == nil {
+		base = in
+	}
 	return &Instance{
 		query:       in.query,
 		tuples:      in.tuples,
@@ -157,6 +169,7 @@ func (in *Instance) WithWeights(weights []int64) (*Instance, error) {
 		nrows:       in.nrows,
 		unbreakable: in.unbreakable,
 		weights:     weights,
+		base:        base,
 	}, nil
 }
 
@@ -222,15 +235,16 @@ func (in *Instance) KernelCtx(ctx context.Context) (*Kernel, error) {
 }
 
 // Components returns the connected components of the instance's raw
-// (un-kernelized) family, computed at most once, or carried over from the
-// base instance by ApplyDelta. This is the decomposition the all-optima
+// (un-kernelized) family, computed at most once, carried over from the
+// base instance by ApplyDelta, or re-costed from the base instance's by a
+// weighted view. This is the decomposition the all-optima
 // enumerator, responsibility, and the engine's solve pipeline use: it
 // preserves the full set of minimum hitting sets, which kernelization's
 // domination rule does not.
 //
-// The split runs on the raw family — linear to build, where the globally
+// The split runs on the raw rows — linear to build, where the globally
 // normalized family pays a quadratic superset scan over every witness row
-// — and Decompose then normalizes each component over its own small local
+// — and each component is then normalized over its own small local
 // universe. Superset rows can only relate rows of one raw component (a
 // superset contains its subset's elements), so the union of the
 // per-component normalized rows equals the globally normalized family;
@@ -247,7 +261,17 @@ func (in *Instance) Components() []*Component {
 	if sp := in.split.Load(); sp != nil {
 		return sp.comps
 	}
-	comps := Decompose(in.Family(true))
+	var comps []*Component
+	if in.base != nil {
+		comps = withCosts(in.base.Components(), in.weights)
+	} else {
+		// Decompose(in.Family(true)) without the raw family's bitsets and
+		// occurrence lists, which the split never reads: the rows are
+		// sorted sets already, and the family would only order them by size.
+		rows := slices.Clone(in.Rows())
+		slices.SortStableFunc(rows, func(a, b []int32) int { return len(a) - len(b) })
+		comps = decompose(rows, len(in.tuples), in.weights)
+	}
 	in.split.Store(&componentSplit{comps: comps})
 	return comps
 }
@@ -269,6 +293,14 @@ type Family struct {
 	// along unchanged through every re-normalization over the same
 	// universe; Kernelize's domination rule and Decompose consult it.
 	W []int64
+}
+
+// Cost returns the deletion cost of element e: W[e], or 1 on a unit family.
+func (f *Family) Cost(e int32) int64 {
+	if f.W == nil {
+		return 1
+	}
+	return f.W[e]
 }
 
 // NewFamily normalizes raw rows over a universe of n elements: each row is
