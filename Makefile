@@ -34,11 +34,12 @@ race:
 	$(GO) test -race ./...
 
 # The live-update path (database clones and index maintenance, delta IR
-# migration with the carried component split, the watch surface) under the
-# race detector at several GOMAXPROCS values: some of its races and
+# migration with the carried component split, the watch surface) and the
+# HTTP serving layer over it (admission, streaming, jobs, recovery) under
+# the race detector at several GOMAXPROCS values: some of their races and
 # orderings only show with more than one processor, others only with one.
 race-cpu:
-	$(GO) test -race -cpu=1,2,4 ./api/ ./internal/db/ ./internal/witset/ ./internal/engine/
+	$(GO) test -race -cpu=1,2,4 ./api/ ./internal/db/ ./internal/witset/ ./internal/engine/ ./internal/server/
 
 # The service benchmark is a module of its own (perfbench/go.mod), so the
 # root `go build ./...` and `go test ./...` skip it, yet its traced replay

@@ -120,8 +120,8 @@ func (e *Error) HTTPStatus() int {
 }
 
 // CodeForStatus is the client-side fallback mapping from an HTTP status to
-// a Code, for v1 responses whose body could not be decoded (proxies,
-// truncation) and for legacy endpoints that carry no code.
+// a Code, for responses whose body carries no code: a proxy's page, a
+// truncated body, or the route table's plain-text 404 and 405.
 func CodeForStatus(status int) Code {
 	switch status {
 	case http.StatusBadRequest:

@@ -344,3 +344,56 @@ func render(d *db.Database) []string {
 	}
 	return out
 }
+
+// TestSessionCostTotalBound: deletion costs that total more than 2^62 are a
+// bad request on every weighted kind, so no cost sum can wrap int64; below
+// the bound, large costs answer exactly.
+func TestSessionCostTotalBound(t *testing.T) {
+	s := NewSession(Config{})
+	if _, err := s.RegisterFacts("tri", []string{"R(a,b)", "R(b,c)", "R(c,a)"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const chain = "qchain :- R(x,y), R(y,z)"
+	costs := func(w int64) map[string]int64 {
+		return map[string]int64{"R(a,b)": w, "R(b,c)": w, "R(c,a)": w}
+	}
+
+	over := costs(1 << 62)
+	for _, task := range []Task{
+		{Kind: KindSolve, Query: chain, DB: "tri", Weights: over},
+		{Kind: KindEnumerate, Query: chain, DB: "tri", Weights: over},
+		{Kind: KindResponsibility, Query: chain, DB: "tri", Tuple: "R(a,b)", Weights: over},
+		{Kind: KindTopKResponsibility, Query: chain, DB: "tri", K: 1, Weights: over},
+	} {
+		if res, err := s.Do(ctx, task); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s at 3·2^62: res %+v err %v, want bad_request", task.Kind, res, err)
+		}
+	}
+
+	const want = int64(1) << 61
+	under := costs(1 << 60)
+	solve, err := s.Do(ctx, Task{Kind: KindSolve, Query: chain, DB: "tri", Weights: under})
+	if err != nil {
+		t.Fatalf("solve at 3·2^60: %v", err)
+	}
+	enum, err := s.Do(ctx, Task{Kind: KindEnumerate, Query: chain, DB: "tri", Weights: under})
+	if err != nil {
+		t.Fatalf("enumerate at 3·2^60: %v", err)
+	}
+	if len(enum.Sets) == 0 {
+		t.Fatalf("enumerate at 3·2^60 = %+v, want minimum-cost sets", enum)
+	}
+	for _, gamma := range append([][]string{solve.Contingency}, enum.Sets...) {
+		if len(gamma) != 2 {
+			t.Fatalf("contingency set %v, want two facts", gamma)
+		}
+		ver, err := s.Do(ctx, Task{Kind: KindVerifyContingency, Query: chain, DB: "tri", Gamma: gamma})
+		if err != nil || !ver.Valid {
+			t.Fatalf("verify %v: res %+v err %v, want valid", gamma, ver, err)
+		}
+	}
+	if solve.Cost != want || enum.Cost != want {
+		t.Fatalf("costs: solve %d, enumerate %d, want 2^61", solve.Cost, enum.Cost)
+	}
+}

@@ -87,7 +87,9 @@ type Task struct {
 	// min-cost generalizations (ρ_w, minimum-cost contingency sets,
 	// min-cost responsibility). Unlisted tuples cost 1, so a nil/empty map
 	// is the plain cardinality task. Every named tuple must exist in the
-	// database; every cost must be >= 1.
+	// database; every cost must be >= 1. The costs of the tuples that occur
+	// in the query's witnesses, unlisted ones counted at 1, must total at
+	// most 2^62 (bad_request otherwise), so no cost sum overflows.
 	Weights map[string]int64 `json:"weights,omitempty"`
 	// Gamma is the claimed contingency set of a verify_contingency task.
 	Gamma []string `json:"gamma,omitempty"`
@@ -292,8 +294,7 @@ type ErrorBody struct {
 }
 
 // DBInfo describes a registered database: the body of PUT/GET /v1/db/{name}
-// and the elements of GET /v1/db (and of the legacy /db endpoints, which
-// share the encoding).
+// and the elements of GET /v1/db.
 type DBInfo struct {
 	Name string `json:"name"`
 	// Tuples and Constants are totals; Relations maps relation name to its

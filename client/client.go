@@ -356,8 +356,8 @@ func (c *Client) finish(resp *http.Response, out any) (retriable bool, err error
 }
 
 // decodeError reconstructs the server's *api.Error from a non-2xx body,
-// falling back to the status mapping for untyped (legacy or truncated)
-// bodies.
+// falling back to the status mapping for untyped bodies (a proxy's page, a
+// truncated body, the route table's plain-text 404 and 405).
 func decodeError(status int, raw []byte) *api.Error {
 	var eb api.ErrorBody
 	if err := json.Unmarshal(raw, &eb); err == nil && eb.Error != nil && eb.Error.Code != "" {

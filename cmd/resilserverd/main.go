@@ -26,8 +26,6 @@
 //	-grace D             shutdown grace period: time to let in-flight
 //	                     requests finish after SIGINT/SIGTERM (default 10s)
 //	-job-workers N       async-job executor goroutines (default 2)
-//	-disable-legacy      serve only the /v1 surface; the deprecated flat
-//	                     routes answer 404
 //	-data-dir DIR        make state durable: journal the database registry
 //	                     and job store to a snapshot+WAL store in DIR and
 //	                     recover them on the next start (default: in-memory)
@@ -58,11 +56,6 @@
 //	DELETE /v1/db/{name}   unregister
 //	GET    /metrics        engine + server + job counters (JSON)
 //	GET    /healthz        liveness; 503 while draining
-//
-// The pre-v1 endpoints (/solve, /batch, /classify, /enumerate,
-// /responsibility, /db/{name}) remain as shims over the v1 Session with
-// their historical response shapes. They answer with a Deprecation header
-// pointing at the v1 successor and disappear under -disable-legacy.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, fails its
 // health checks, and gives in-flight requests the grace period to finish;
@@ -97,7 +90,6 @@ func main() {
 		grace        = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 		jobWorkers   = flag.Int("job-workers", 0, "async-job executor goroutines (0 = default 2)")
 		drainDelay   = flag.Duration("drain-delay", 5*time.Second, "time between failing /healthz and closing the listener, so load balancers observe the 503 and stop routing here")
-		noLegacy     = flag.Bool("disable-legacy", false, "serve only the /v1 surface; the deprecated flat routes answer 404")
 		buildWorkers = flag.Int("build-workers", 0, "sharded witness-enumeration workers per IR build (0 = min(4, GOMAXPROCS), 1 = sequential)")
 		pprofOn      = flag.Bool("pprof", false, "register net/http/pprof handlers under /debug/pprof/")
 		dataDir      = flag.String("data-dir", "", "durable-state directory: snapshot+WAL journal of databases and jobs, recovered on restart (empty = in-memory)")
@@ -120,7 +112,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		MaxBodyBytes:   *maxBody,
 		JobWorkers:     *jobWorkers,
-		DisableLegacy:  *noLegacy,
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
 		SnapshotEvery:  *snapEvery,

@@ -97,30 +97,31 @@ func ExampleNewEngine() {
 
 // ExampleNewServer is a full serving-layer round trip, compiled: start
 // the HTTP layer on a test listener, register a database once via
-// PUT /db/{name}, then solve a query against it by name — the same
+// PUT /v1/db/{name}, then solve a query against it by name — the same
 // transcript the README shows with curl.
 func ExampleNewServer() {
 	srv := repro.NewServer(repro.ServerConfig{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// PUT /db/toy — upload and freeze the database.
+	// PUT /v1/db/toy — upload and freeze the database.
 	facts, _ := json.Marshal(map[string]any{
 		"facts": []string{"R(1,2)", "R(2,3)", "R(3,3)"},
 	})
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/db/toy", bytes.NewReader(facts))
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/db/toy", bytes.NewReader(facts))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		panic(err)
 	}
 	resp.Body.Close()
 
-	// POST /solve — many of these can now run against the registered db.
+	// POST /v1/tasks — many of these can now run against the registered db.
 	body, _ := json.Marshal(map[string]any{
+		"kind":  "solve",
 		"query": "qchain :- R(x,y), R(y,z)",
 		"db":    "toy",
 	})
-	resp, err = http.DefaultClient.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
+	resp, err = http.DefaultClient.Post(ts.URL+"/v1/tasks", "application/json", bytes.NewReader(body))
 	if err != nil {
 		panic(err)
 	}

@@ -168,12 +168,6 @@ func TestV1PutDBReturnsVersion(t *testing.T) {
 	if resp.Version <= info.Version {
 		t.Fatalf("PATCH version %d not past PUT version %d", resp.Version, info.Version)
 	}
-	// The legacy PUT shim answers the same body (version included).
-	var legacy api.DBInfo
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/toy2",
-		putDBRequest{Facts: []string{"R(1,2)"}}, &legacy); status != http.StatusOK || legacy.Version == 0 {
-		t.Fatalf("legacy PUT body = %+v (status %d), want a nonzero version", legacy, status)
-	}
 }
 
 // TestV1WatchStreamsMutations is the HTTP end of the watch contract: a
@@ -228,92 +222,43 @@ func TestV1WatchStreamsMutations(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecationHeaders pins the migration signal: every mounted
-// legacy route answers with the standard Deprecation header and a Link to
-// its v1 successor, while v1 routes stay unmarked.
-func TestLegacyDeprecationHeaders(t *testing.T) {
+// TestDisableLegacyUnmountsRoutes: the pre-v1 routes are gone from the
+// route table (404), and the v1 surface serves as before.
+func TestDisableLegacyUnmountsRoutes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putToy(t, ts.URL)
 
-	check := func(method, path string, body any, wantDeprecated bool) {
-		t.Helper()
-		var rd *bytes.Reader
-		if body != nil {
-			buf, err := json.Marshal(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rd = bytes.NewReader(buf)
-		} else {
-			rd = bytes.NewReader(nil)
-		}
-		req, err := http.NewRequest(method, ts.URL+path, rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
-		}
-		dep := resp.Header.Get("Deprecation")
-		link := resp.Header.Get("Link")
-		if wantDeprecated {
-			if dep != "true" || link != `</v1/tasks>; rel="successor-version"` {
-				t.Errorf("%s %s: Deprecation=%q Link=%q, want the deprecation pair", method, path, dep, link)
-			}
-		} else if dep != "" {
-			t.Errorf("%s %s: unexpected Deprecation header %q on a v1 route", method, path, dep)
-		}
-	}
-
-	check(http.MethodGet, "/db/toy", nil, true)
-	check(http.MethodPost, "/solve", solveRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "toy"}, true)
-	check(http.MethodPost, "/classify", classifyRequest{Query: "qchain :- R(x,y), R(y,z)"}, true)
-	check(http.MethodGet, "/v1/db/toy", nil, false)
-	check(http.MethodPost, "/v1/tasks", api.Task{Kind: api.KindSolve, Query: "qchain :- R(x,y), R(y,z)", DB: "toy"}, false)
-}
-
-// TestDisableLegacyUnmountsRoutes: with DisableLegacy the pre-v1 block is
-// absent from the route table (404, not a deprecated 200), and the v1
-// surface is unaffected.
-func TestDisableLegacyUnmountsRoutes(t *testing.T) {
-	_, ts := newTestServer(t, Config{DisableLegacy: true})
-	putToy(t, ts.URL) // v1 upload still works
-
+	type body = map[string]any
 	legacy := []struct {
 		method, path string
 		body         any
 	}{
-		{http.MethodPut, "/db/x", putDBRequest{Facts: []string{"R(1,2)"}}},
+		{http.MethodPut, "/db/x", body{"facts": []string{"R(1,2)"}}},
 		{http.MethodGet, "/db/toy", nil},
 		{http.MethodDelete, "/db/toy", nil},
 		{http.MethodGet, "/db", nil},
-		{http.MethodPost, "/classify", classifyRequest{Query: "q :- R(x,y)"}},
-		{http.MethodPost, "/solve", solveRequest{Query: "q :- R(x,y)", DB: "toy"}},
-		{http.MethodPost, "/batch", batchRequest{Instances: []batchInstance{{Query: "q :- R(x,y)", DB: "toy"}}}},
-		{http.MethodPost, "/enumerate", enumerateRequest{Query: "q :- R(x,y)", DB: "toy"}},
-		{http.MethodPost, "/responsibility", responsibilityRequest{Query: "q :- R(x,y)", DB: "toy", Tuple: "R(1,2)"}},
+		{http.MethodPost, "/classify", body{"query": "q :- R(x,y)"}},
+		{http.MethodPost, "/solve", body{"query": "q :- R(x,y)", "db": "toy"}},
+		{http.MethodPost, "/batch", body{"instances": []body{{"query": "q :- R(x,y)", "db": "toy"}}}},
+		{http.MethodPost, "/enumerate", body{"query": "q :- R(x,y)", "db": "toy"}},
+		{http.MethodPost, "/responsibility", body{"query": "q :- R(x,y)", "db": "toy", "tuple": "R(1,2)"}},
 	}
 	for _, c := range legacy {
 		if status := doJSON(t, c.method, ts.URL+c.path, c.body, nil); status != http.StatusNotFound {
-			t.Errorf("%s %s with DisableLegacy: status %d, want 404", c.method, c.path, status)
+			t.Errorf("%s %s: status %d, want 404", c.method, c.path, status)
 		}
 	}
 
 	// The v1 surface — including the mutation path — is untouched.
 	if got := solveRho(t, ts.URL, "toy"); got != 2 {
-		t.Fatalf("v1 solve under DisableLegacy: ρ = %d, want 2", got)
+		t.Fatalf("v1 solve: ρ = %d, want 2", got)
 	}
 	var resp api.MutateResponse
 	if status := patchDB(t, ts.URL, "toy",
 		[]api.Mutation{{Op: api.MutationInsert, Fact: "R(5,6)"}}, &resp); status != http.StatusOK || resp.Applied != 1 {
-		t.Fatalf("v1 PATCH under DisableLegacy: status %d resp %+v", status, resp)
+		t.Fatalf("v1 PATCH: status %d resp %+v", status, resp)
 	}
 	if status := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, nil); status != http.StatusOK {
-		t.Fatalf("metrics under DisableLegacy: status %d", status)
+		t.Fatalf("metrics: status %d", status)
 	}
 }

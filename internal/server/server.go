@@ -13,14 +13,7 @@
 // (GET), delete (DELETE), and in-place mutation (PATCH, a typed
 // insert/delete batch applied atomically — see api.MutateRequest). A
 // watch task (kind "watch", streamed) then follows ρ across mutations.
-//
-// The pre-v1 endpoints (/solve, /batch, /classify, /enumerate,
-// /responsibility, /db/{name}) remain as thin shims over the same
-// Session: they translate their legacy request bodies into api.Tasks and
-// the api.Result back into their historical response shapes, with parity
-// pinned by tests. They are deprecated — responses carry a Deprecation
-// header — and Config.DisableLegacy removes them from the route table
-// entirely (404) for deployments that have finished migrating.
+// Besides /v1 the route table mounts only GET /metrics and GET /healthz.
 //
 // # Request lifecycle
 //
@@ -46,10 +39,10 @@
 //     search loops. On streaming endpoints a dropped connection stops the
 //     underlying search — the NDJSON writer runs under r.Context() and a
 //     failed write aborts the emit chain.
-//   - Errors are typed end to end: every failure is an api.Error whose
-//     code maps to exactly one HTTP status on the v1 surface; context
-//     cancellation surfaces as timeout/canceled codes, never a generic
-//     500.
+//   - Errors are typed end to end: every non-2xx response carries an
+//     api.ErrorBody whose code maps to exactly one HTTP status, admission
+//     control's 429 included; context cancellation surfaces as
+//     timeout/canceled codes, never a generic 500.
 package server
 
 import (
@@ -62,7 +55,6 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/cq"
 	"repro/internal/engine"
 	"repro/internal/store"
 )
@@ -76,10 +68,10 @@ type Config struct {
 	// frozen databases, which is exactly the sharing mode NoClone exists
 	// for.
 	Engine engine.Config
-	// MaxInFlight bounds concurrently executing solver requests (v1 tasks
-	// and batches, and the legacy solver endpoints). Excess requests are
-	// rejected with 429 and a Retry-After header. <= 0 means the default
-	// 64.
+	// MaxInFlight bounds concurrently executing solver requests (POST
+	// /v1/tasks, POST /v1/batch and PATCH /v1/db/{name}). Excess requests
+	// are rejected with 429, code overload, and a Retry-After header. <= 0
+	// means the default 64.
 	MaxInFlight int
 	// RequestTimeout is the default per-request wall-time budget for
 	// synchronous solver endpoints. A task's timeout_ms can only tighten
@@ -100,11 +92,6 @@ type Config struct {
 	// MaxJobs caps stored job records; finished jobs are evicted oldest
 	// first to admit new submissions. <= 0 means the default 256.
 	MaxJobs int
-	// DisableLegacy removes the deprecated pre-v1 routes (/solve, /batch,
-	// /classify, /enumerate, /responsibility, /db...) from the route
-	// table; requests to them answer 404. Default off: the legacy shims
-	// stay mounted and merely advertise their deprecation via headers.
-	DisableLegacy bool
 	// DataDir, when set, makes state durable: the database registry and
 	// the job store are journaled to a snapshot+WAL store in this
 	// directory and recovered on the next Open against it. Empty means
@@ -330,34 +317,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/db/{name}", s.handleV1DeleteDB)
 	s.mux.HandleFunc("GET /v1/db", s.handleListDBs)
 
-	// Legacy surface: thin shims over the same Session, response shapes
-	// unchanged (parity pinned by tests), every response marked with a
-	// Deprecation header. DisableLegacy unmounts the whole block.
-	if !s.cfg.DisableLegacy {
-		s.mux.HandleFunc("PUT /db/{name}", s.deprecated(s.handlePutDB))
-		s.mux.HandleFunc("GET /db/{name}", s.deprecated(s.handleGetDB))
-		s.mux.HandleFunc("DELETE /db/{name}", s.deprecated(s.handleDeleteDB))
-		s.mux.HandleFunc("GET /db", s.deprecated(s.handleListDBs))
-		s.mux.HandleFunc("POST /classify", s.deprecated(s.handleClassify))
-		s.mux.HandleFunc("POST /solve", s.admitted(s.deprecated(s.handleSolve)))
-		s.mux.HandleFunc("POST /batch", s.admitted(s.deprecated(s.handleBatch)))
-		s.mux.HandleFunc("POST /enumerate", s.admitted(s.deprecated(s.handleEnumerate)))
-		s.mux.HandleFunc("POST /responsibility", s.admitted(s.deprecated(s.handleResponsibility)))
-	}
-
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-}
-
-// deprecated marks a legacy endpoint's responses with the standard
-// Deprecation header and a pointer at the v1 replacement, so migrating
-// clients can find every remaining legacy call in their own telemetry.
-func (s *Server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/tasks>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // admitted wraps a solver endpoint with admission control: acquire an
@@ -371,9 +332,7 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 			defer func() { <-s.sem }()
 		default:
 			s.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusTooManyRequests,
-				api.Errorf(api.CodeOverload, "server at capacity (%d requests in flight)", cap(s.sem)))
+			s.writeError(w, api.Errorf(api.CodeOverload, "server at capacity (%d requests in flight)", cap(s.sem)))
 			return
 		}
 		s.requests.Add(1)
@@ -398,22 +357,14 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(r.Context(), budget)
 }
 
-// decode reads a JSON request body strictly, answering a legacy-shaped
-// 400 on failure; decodeV1 answers the typed v1 body instead.
+// decode reads a JSON request body strictly, capped at MaxBodyBytes,
+// answering a bad_request error on failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	return s.decodeWith(w, r, into, s.legacyError)
-}
-
-func (s *Server) decodeV1(w http.ResponseWriter, r *http.Request, into any) bool {
-	return s.decodeWith(w, r, into, s.writeV1Error)
-}
-
-func (s *Server) decodeWith(w http.ResponseWriter, r *http.Request, into any, fail func(http.ResponseWriter, error)) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		fail(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
+		s.writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
 		return false
 	}
 	return true
@@ -427,19 +378,9 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	enc.Encode(body) //nolint:errcheck // nothing to do about a failed write
 }
 
-// writeError emits a legacy-shaped error body ({"error": "message"}) with
-// the given status. The message is the api.Error's message, keeping
-// legacy bodies byte-compatible with the pre-v1 server.
-func (s *Server) writeError(w http.ResponseWriter, status int, err *api.Error) {
-	if status >= 500 {
-		s.failures.Add(1)
-	}
-	writeJSON(w, status, errorBody{Error: err.Message})
-}
-
-// writeV1Error emits the typed v1 error body with the code's canonical
-// status.
-func (s *Server) writeV1Error(w http.ResponseWriter, err error) {
+// writeError emits the typed error body with the code's canonical status,
+// and a Retry-After header on 429.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	ae := api.Wrap(err)
 	status := ae.HTTPStatus()
 	if status >= 500 {
@@ -451,45 +392,21 @@ func (s *Server) writeV1Error(w http.ResponseWriter, err error) {
 	writeJSON(w, status, api.ErrorBody{Error: ae})
 }
 
-// legacyStatus maps an api.Error code to the status the pre-v1 endpoints
-// used. The one divergence from the v1 mapping: a client cancellation
-// surfaces as 504, the legacy behavior ("client went away mid-solve").
-func legacyStatus(err error) int {
-	ae := api.Wrap(err)
-	if ae.Code == api.CodeCanceled {
-		return http.StatusGatewayTimeout
-	}
-	return ae.HTTPStatus()
-}
-
-// legacyError writes err with the legacy status mapping and body shape.
-func (s *Server) legacyError(w http.ResponseWriter, err error) {
-	s.writeError(w, legacyStatus(err), api.Wrap(err))
-}
-
-// The database-management handlers come in two flavors sharing one core:
-// the legacy routes answer legacy-shaped error bodies, the /v1 routes the
-// typed api.ErrorBody, per the v1 contract that every non-2xx body
-// carries a code.
-func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request) {
-	s.putDB(w, r, s.decode, s.legacyError)
+// putDBRequest is the body of PUT /v1/db/{name}.
+type putDBRequest struct {
+	// Facts holds one fact per entry, e.g. "R(1,2)". Blank entries are
+	// rejected (unlike fact files there is no comment syntax here).
+	Facts []string `json:"facts"`
 }
 
 func (s *Server) handleV1PutDB(w http.ResponseWriter, r *http.Request) {
-	s.putDB(w, r, s.decodeV1, s.writeV1Error)
-}
-
-func (s *Server) putDB(w http.ResponseWriter, r *http.Request,
-	decode func(http.ResponseWriter, *http.Request, any) bool,
-	fail func(http.ResponseWriter, error)) {
-	name := r.PathValue("name")
 	var req putDBRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	info, err := s.sess.RegisterFacts(name, req.Facts)
+	info, err := s.sess.RegisterFacts(r.PathValue("name"), req.Facts)
 	if err != nil {
-		fail(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -505,55 +422,39 @@ func (s *Server) putDB(w http.ResponseWriter, r *http.Request,
 func (s *Server) handleV1MutateDB(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req api.MutateRequest
-	if !s.decodeV1(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
 	info, err := s.sess.MutateDB(ctx, name, req.Mutations)
 	if err != nil {
-		s.writeV1Error(w, err)
+		s.writeError(w, err)
 		return
 	}
 	s.mutations.Add(1)
 	writeJSON(w, http.StatusOK, api.MutateResponse{DBInfo: info, Applied: len(req.Mutations)})
 }
 
-func (s *Server) handleGetDB(w http.ResponseWriter, r *http.Request) {
-	s.getDB(w, r, s.legacyError)
-}
-
 func (s *Server) handleV1GetDB(w http.ResponseWriter, r *http.Request) {
-	s.getDB(w, r, s.writeV1Error)
-}
-
-func (s *Server) getDB(w http.ResponseWriter, r *http.Request, fail func(http.ResponseWriter, error)) {
 	name := r.PathValue("name")
 	info, ok := s.sess.Info(name)
 	if !ok {
-		fail(w, api.Errorf(api.CodeUnknownDB, "no database %q registered", name))
+		s.writeError(w, api.Errorf(api.CodeUnknownDB, "no database %q registered", name))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (s *Server) handleDeleteDB(w http.ResponseWriter, r *http.Request) {
-	s.deleteDB(w, r, s.legacyError)
-}
-
 func (s *Server) handleV1DeleteDB(w http.ResponseWriter, r *http.Request) {
-	s.deleteDB(w, r, s.writeV1Error)
-}
-
-func (s *Server) deleteDB(w http.ResponseWriter, r *http.Request, fail func(http.ResponseWriter, error)) {
 	name := r.PathValue("name")
 	existed, err := s.sess.DropDB(name)
 	if err != nil {
-		fail(w, err)
+		s.writeError(w, err)
 		return
 	}
 	if !existed {
-		fail(w, api.Errorf(api.CodeUnknownDB, "no database %q registered", name))
+		s.writeError(w, api.Errorf(api.CodeUnknownDB, "no database %q registered", name))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -568,178 +469,6 @@ func (s *Server) handleListDBs(w http.ResponseWriter, r *http.Request) {
 		if info, ok := s.sess.Info(name); ok {
 			resp.Databases = append(resp.Databases, info)
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	res, err := s.sess.Do(r.Context(), api.Task{Kind: api.KindClassify, Query: req.Query})
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	resp := classifyResponse{
-		// The legacy body echoed the parsed query's canonical rendering,
-		// which the envelope does not carry; re-derive it.
-		Query:       canonicalQuery(req.Query),
-		Normalized:  res.Normalized,
-		Verdict:     res.Verdict,
-		Rule:        res.Rule,
-		Algorithm:   res.Algorithm,
-		Certificate: res.Certificate,
-	}
-	for _, sub := range res.Components {
-		resp.Components = append(resp.Components, classifyComponent(sub))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req solveRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	res, err := s.sess.Do(ctx, api.Task{
-		Kind:      api.KindSolve,
-		Query:     req.Query,
-		DB:        req.DB,
-		TimeoutMS: req.TimeoutMS,
-	})
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, solveResponse{
-		Rho:         res.Rho,
-		Method:      res.Method,
-		Witnesses:   res.Witnesses,
-		Contingency: res.Contingency,
-		Verdict:     res.Verdict,
-		Rule:        res.Rule,
-		Unbreakable: res.Unbreakable,
-		CacheHit:    res.CacheHit,
-		ElapsedMS:   res.ElapsedMS,
-	})
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Instances) == 0 {
-		s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "instances must be non-empty"))
-		return
-	}
-	// Legacy semantics: any malformed instance fails the whole request up
-	// front (400 for a bad query, 404 for an unknown database).
-	tasks := make([]api.Task, len(req.Instances))
-	for i, bi := range req.Instances {
-		name := bi.DB
-		if name == "" {
-			name = req.DB
-		}
-		id := bi.ID
-		if id == "" {
-			id = fmt.Sprintf("#%d", i)
-		}
-		tasks[i] = api.Task{ID: id, Kind: api.KindSolve, Query: bi.Query, DB: name}
-		if _, err := cq.Parse(bi.Query); err != nil {
-			s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadQuery, "instance %d: %v", i, err))
-			return
-		}
-		if s.sess.DB(name) == nil {
-			if name == "" {
-				s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "missing db name"))
-				return
-			}
-			s.writeError(w, http.StatusNotFound, api.Errorf(api.CodeUnknownDB, "no database %q registered", name))
-			return
-		}
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	results := s.sess.DoBatch(ctx, tasks, 0)
-	resp := batchResponse{Results: make([]batchResult, len(results))}
-	for i, res := range results {
-		out := batchResult{ID: res.ID, ElapsedMS: res.ElapsedMS}
-		out.Verdict = res.Verdict
-		switch {
-		case res.Error != nil:
-			out.Error = res.Error.Message
-		case res.Unbreakable:
-			out.Unbreakable = true
-		default:
-			out.Rho = res.Rho
-			out.Method = res.Method
-			out.Contingency = res.Contingency
-		}
-		resp.Results[i] = out
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	var req enumerateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	res, err := s.sess.Do(ctx, api.Task{
-		Kind:      api.KindEnumerate,
-		Query:     req.Query,
-		DB:        req.DB,
-		MaxSets:   req.MaxSets,
-		TimeoutMS: req.TimeoutMS,
-	})
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	if res.Unbreakable {
-		writeJSON(w, http.StatusOK, enumerateResponse{Unbreakable: true})
-		return
-	}
-	resp := enumerateResponse{Rho: res.Rho, Sets: res.Sets}
-	if resp.Sets == nil {
-		resp.Sets = [][]string{}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleResponsibility(w http.ResponseWriter, r *http.Request) {
-	var req responsibilityRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	res, err := s.sess.Do(ctx, api.Task{
-		Kind:      api.KindResponsibility,
-		Query:     req.Query,
-		DB:        req.DB,
-		Tuple:     req.Tuple,
-		TimeoutMS: req.TimeoutMS,
-	})
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	resp := responsibilityResponse{Tuple: res.Tuple}
-	if res.NotCounterfactual {
-		resp.NotCounterfactual = true
-	} else {
-		resp.K = res.K
-		resp.Responsibility = res.Responsibility
-		resp.Contingency = res.Contingency
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -877,15 +606,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// canonicalQuery re-renders a query text the way the parser prints it; it
-// only runs after the Session has already parsed the same text, so the
-// error case is unreachable and falls back to the input.
-func canonicalQuery(text string) string {
-	q, err := cq.Parse(text)
-	if err != nil {
-		return text
-	}
-	return q.String()
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -75,6 +76,15 @@ func chainFacts(rng *rand.Rand, n, chords int) []string {
 	return facts
 }
 
+// doTask POSTs one task to /v1/tasks. A non-2xx error body decodes into
+// the Result's Error field, which has the same JSON key.
+func doTask(t *testing.T, ts string, task api.Task) (*api.Result, int) {
+	t.Helper()
+	var res api.Result
+	status := doJSON(t, http.MethodPost, ts+"/v1/tasks", task, &res)
+	return &res, status
+}
+
 // TestServerConcurrentSolvesShareIR is the serving-layer acceptance test:
 // many concurrent solve requests against registered databases complete
 // correctly, and the engine's stats show the witness IR was built exactly
@@ -88,10 +98,10 @@ func TestServerConcurrentSolvesShareIR(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	for _, name := range []string{"day1", "day2"} {
-		status := doJSON(t, http.MethodPut, ts.URL+"/db/"+name,
+		status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/"+name,
 			putDBRequest{Facts: chainFacts(rng, 12, 6)}, nil)
 		if status != http.StatusOK {
-			t.Fatalf("PUT /db/%s: status %d", name, status)
+			t.Fatalf("PUT /v1/db/%s: status %d", name, status)
 		}
 	}
 
@@ -120,15 +130,13 @@ func TestServerConcurrentSolvesShareIR(t *testing.T) {
 				if i%2 == 1 {
 					query = "qchain :- R(a,b), R(b,c)"
 				}
-				var resp solveResponse
-				status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-					solveRequest{Query: query, DB: name}, &resp)
+				res, status := doTask(t, ts.URL, api.Task{Kind: api.KindSolve, Query: query, DB: name})
 				if status != http.StatusOK {
 					errs <- fmt.Errorf("solve %s[%d]: status %d", name, i, status)
 					return
 				}
-				if resp.Rho != want[name] {
-					errs <- fmt.Errorf("solve %s[%d]: ρ = %d, want %d", name, i, resp.Rho, want[name])
+				if res.Rho != want[name] {
+					errs <- fmt.Errorf("solve %s[%d]: ρ = %d, want %d", name, i, res.Rho, want[name])
 				}
 			}(name, i)
 		}
@@ -169,21 +177,21 @@ func TestServerRegistryLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// Malformed facts are rejected.
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/bad",
+	if status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/bad",
 		putDBRequest{Facts: []string{"nope"}}, nil); status != http.StatusBadRequest {
 		t.Fatalf("PUT malformed: status %d, want 400", status)
 	}
 	// Arity mismatch inside one upload is rejected.
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/bad",
+	if status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/bad",
 		putDBRequest{Facts: []string{"R(1,2)", "R(1)"}}, nil); status != http.StatusBadRequest {
 		t.Fatalf("PUT arity mismatch: status %d, want 400", status)
 	}
-	if status := doJSON(t, http.MethodGet, ts.URL+"/db/ghost", nil, nil); status != http.StatusNotFound {
+	if status := doJSON(t, http.MethodGet, ts.URL+"/v1/db/ghost", nil, nil); status != http.StatusNotFound {
 		t.Fatalf("GET unknown db: status %d, want 404", status)
 	}
 
 	var put api.DBInfo
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/toy",
+	if status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/toy",
 		putDBRequest{Facts: []string{"R(1,2)", "R(2,3)", "R(3,3)", "R(1,2)"}}, &put); status != http.StatusOK {
 		t.Fatalf("PUT: status %d", status)
 	}
@@ -192,7 +200,7 @@ func TestServerRegistryLifecycle(t *testing.T) {
 	}
 
 	var got api.DBInfo
-	if status := doJSON(t, http.MethodGet, ts.URL+"/db/toy", nil, &got); status != http.StatusOK ||
+	if status := doJSON(t, http.MethodGet, ts.URL+"/v1/db/toy", nil, &got); status != http.StatusOK ||
 		got.Name != put.Name || got.Tuples != put.Tuples || got.Version != put.Version {
 		t.Fatalf("GET info = %+v (status %d), want %+v", got, status, put)
 	}
@@ -200,24 +208,21 @@ func TestServerRegistryLifecycle(t *testing.T) {
 	var list struct {
 		Databases []api.DBInfo `json:"databases"`
 	}
-	if status := doJSON(t, http.MethodGet, ts.URL+"/db", nil, &list); status != http.StatusOK || len(list.Databases) != 1 {
-		t.Fatalf("GET /db = %+v (status %d), want exactly the toy db", list, status)
+	if status := doJSON(t, http.MethodGet, ts.URL+"/v1/db", nil, &list); status != http.StatusOK || len(list.Databases) != 1 {
+		t.Fatalf("GET /v1/db = %+v (status %d), want exactly the toy db", list, status)
 	}
 
 	// Solver endpoints: bad query and unknown db.
-	if status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-		solveRequest{Query: "not a query", DB: "toy"}, nil); status != http.StatusBadRequest {
+	if _, status := doTask(t, ts.URL, api.Task{Kind: api.KindSolve, Query: "not a query", DB: "toy"}); status != http.StatusBadRequest {
 		t.Fatalf("solve bad query: status %d, want 400", status)
 	}
-	if status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-		solveRequest{Query: "q :- R(x,y)", DB: "ghost"}, nil); status != http.StatusNotFound {
+	if _, status := doTask(t, ts.URL, api.Task{Kind: api.KindSolve, Query: "q :- R(x,y)", DB: "ghost"}); status != http.StatusNotFound {
 		t.Fatalf("solve unknown db: status %d, want 404", status)
 	}
 
 	// The README example: ρ(qchain, {R(1,2), R(2,3), R(3,3)}) = 2.
-	var solved solveResponse
-	if status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-		solveRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "toy"}, &solved); status != http.StatusOK {
+	solved, status := doTask(t, ts.URL, api.Task{Kind: api.KindSolve, Query: "qchain :- R(x,y), R(y,z)", DB: "toy"})
+	if status != http.StatusOK {
 		t.Fatalf("solve: status %d", status)
 	}
 	if solved.Rho != 2 || solved.Verdict != "NP-complete" {
@@ -228,38 +233,31 @@ func TestServerRegistryLifecycle(t *testing.T) {
 	}
 
 	// A fully exogenous query is unbreakable, reported as an answer.
-	var unb solveResponse
-	if status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-		solveRequest{Query: "q :- R(x,y)^x", DB: "toy"}, &unb); status != http.StatusOK {
+	unb, status := doTask(t, ts.URL, api.Task{Kind: api.KindSolve, Query: "q :- R(x,y)^x", DB: "toy"})
+	if status != http.StatusOK {
 		t.Fatalf("solve exogenous: status %d", status)
 	}
 	if !unb.Unbreakable {
 		t.Fatalf("solve exogenous = %+v, want unbreakable", unb)
 	}
 
-	if status := doJSON(t, http.MethodDelete, ts.URL+"/db/toy", nil, nil); status != http.StatusNoContent {
+	if status := doJSON(t, http.MethodDelete, ts.URL+"/v1/db/toy", nil, nil); status != http.StatusNoContent {
 		t.Fatalf("DELETE: status %d, want 204", status)
 	}
-	if status := doJSON(t, http.MethodGet, ts.URL+"/db/toy", nil, nil); status != http.StatusNotFound {
+	if status := doJSON(t, http.MethodGet, ts.URL+"/v1/db/toy", nil, nil); status != http.StatusNotFound {
 		t.Fatalf("GET after DELETE: status %d, want 404", status)
 	}
 }
 
 func TestServerBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/toy",
-		putDBRequest{Facts: []string{"R(1,2)", "R(2,3)", "R(3,3)"}}, nil); status != http.StatusOK {
-		t.Fatalf("PUT: status %d", status)
-	}
-	var resp batchResponse
-	status := doJSON(t, http.MethodPost, ts.URL+"/batch", batchRequest{
-		DB: "toy",
-		Instances: []batchInstance{
-			{ID: "chain", Query: "qchain :- R(x,y), R(y,z)"},
-			{ID: "edge", Query: "q :- R(x,y)"},
-			{Query: "q :- R(x,x)"},
-		},
-	}, &resp)
+	putToy(t, ts.URL)
+	var resp api.BatchResponse
+	status := doJSON(t, http.MethodPost, ts.URL+"/v1/batch", api.BatchRequest{Tasks: []api.Task{
+		{ID: "chain", Kind: api.KindSolve, Query: "qchain :- R(x,y), R(y,z)", DB: "toy"},
+		{ID: "edge", Kind: api.KindSolve, Query: "q :- R(x,y)", DB: "toy"},
+		{Kind: api.KindSolve, Query: "q :- R(x,x)", DB: "toy"},
+	}}, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("batch: status %d", status)
 	}
@@ -272,21 +270,18 @@ func TestServerBatch(t *testing.T) {
 	if resp.Results[1].Rho != 3 { // delete every edge
 		t.Fatalf("batch[1] = %+v, want ρ=3", resp.Results[1])
 	}
-	if resp.Results[2].ID != "#2" || resp.Results[2].Rho != 1 { // only R(3,3) is a loop
-		t.Fatalf("batch[2] = %+v, want ρ=1 under generated id #2", resp.Results[2])
+	if resp.Results[2].Index != 2 || resp.Results[2].Rho != 1 { // only R(3,3) is a loop
+		t.Fatalf("batch[2] = %+v, want ρ=1 at index 2", resp.Results[2])
 	}
 }
 
 func TestServerEnumerateAndResponsibility(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	facts := []string{"R(1,2)", "R(2,3)", "R(3,3)"}
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/toy", putDBRequest{Facts: facts}, nil); status != http.StatusOK {
-		t.Fatalf("PUT: status %d", status)
-	}
+	putToy(t, ts.URL)
+	const chain = "qchain :- R(x,y), R(y,z)"
 
-	var en enumerateResponse
-	if status := doJSON(t, http.MethodPost, ts.URL+"/enumerate",
-		enumerateRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "toy", MaxSets: 10}, &en); status != http.StatusOK {
+	en, status := doTask(t, ts.URL, api.Task{Kind: api.KindEnumerate, Query: chain, DB: "toy", MaxSets: 10})
+	if status != http.StatusOK {
 		t.Fatalf("enumerate: status %d", status)
 	}
 	if en.Rho != 2 || len(en.Sets) == 0 {
@@ -298,9 +293,8 @@ func TestServerEnumerateAndResponsibility(t *testing.T) {
 		}
 	}
 
-	var rp responsibilityResponse
-	if status := doJSON(t, http.MethodPost, ts.URL+"/responsibility",
-		responsibilityRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "toy", Tuple: "R(3,3)"}, &rp); status != http.StatusOK {
+	rp, status := doTask(t, ts.URL, api.Task{Kind: api.KindResponsibility, Query: chain, DB: "toy", Tuple: "R(3,3)"})
+	if status != http.StatusOK {
 		t.Fatalf("responsibility: status %d", status)
 	}
 	if rp.NotCounterfactual {
@@ -311,33 +305,53 @@ func TestServerEnumerateAndResponsibility(t *testing.T) {
 	}
 
 	// Probing a tuple that is not in the database is a client error.
-	if status := doJSON(t, http.MethodPost, ts.URL+"/responsibility",
-		responsibilityRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "toy", Tuple: "R(9,9)"}, nil); status != http.StatusBadRequest {
+	if _, status := doTask(t, ts.URL, api.Task{Kind: api.KindResponsibility, Query: chain, DB: "toy", Tuple: "R(9,9)"}); status != http.StatusBadRequest {
 		t.Fatalf("responsibility unknown tuple: status %d, want 400", status)
 	}
 }
 
+// TestServerAdmissionControl: with every slot taken, each admitted route
+// sheds with 429, a Retry-After header and the typed overload body.
 func TestServerAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1})
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/toy",
-		putDBRequest{Facts: []string{"R(1,2)", "R(2,3)"}}, nil); status != http.StatusOK {
-		t.Fatalf("PUT: status %d", status)
-	}
+	putToy(t, ts.URL)
 
 	// Occupy the single slot; the next solver request must be shed.
 	s.sem <- struct{}{}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve",
-		bytes.NewReader([]byte(`{"query":"q :- R(x,y)","db":"toy"}`)))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	task := api.Task{Kind: api.KindSolve, Query: "q :- R(x,y)", DB: "toy"}
+	shed := []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/v1/tasks", task},
+		{http.MethodPost, "/v1/batch", api.BatchRequest{Tasks: []api.Task{task}}},
+		{http.MethodPatch, "/v1/db/toy", api.MutateRequest{Mutations: []api.Mutation{{Op: api.MutationInsert, Fact: "R(5,6)"}}}},
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	for _, c := range shed {
+		buf, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb api.ErrorBody
+		decErr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s %s: status %d, want 429", c.method, c.path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s %s: 429 without Retry-After", c.method, c.path)
+		}
+		if decErr != nil || eb.Error == nil || eb.Error.Code != api.CodeOverload {
+			t.Fatalf("%s %s: 429 body = %+v (%v), want code overload", c.method, c.path, eb.Error, decErr)
+		}
 	}
 	// Registry and health endpoints are not subject to admission.
 	if status := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, nil); status != http.StatusOK {
@@ -345,9 +359,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 	<-s.sem
 
-	var solved solveResponse
-	if status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-		solveRequest{Query: "q :- R(x,y)", DB: "toy"}, &solved); status != http.StatusOK {
+	if _, status := doTask(t, ts.URL, task); status != http.StatusOK {
 		t.Fatalf("solve after release: status %d", status)
 	}
 	if st := s.Engine().Stats(); st.Solved != 1 {
@@ -360,14 +372,35 @@ func TestServerRequestTimeout(t *testing.T) {
 	// A large chain database: witness enumeration plus NP-hard search
 	// cannot finish inside 1ms.
 	rng := rand.New(rand.NewSource(9))
-	if status := doJSON(t, http.MethodPut, ts.URL+"/db/big",
+	if status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/big",
 		putDBRequest{Facts: chainFacts(rng, 20000, 20000)}, nil); status != http.StatusOK {
 		t.Fatalf("PUT: status %d", status)
 	}
-	status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-		solveRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "big", TimeoutMS: 1}, nil)
+	res, status := doTask(t, ts.URL, api.Task{Kind: api.KindSolve, Query: "qchain :- R(x,y), R(y,z)", DB: "big", TimeoutMS: 1})
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (deadline exceeded)", status)
+	}
+	if res.Error == nil || res.Error.Code != api.CodeTimeout {
+		t.Fatalf("504 body = %+v, want code timeout", res.Error)
+	}
+}
+
+// TestServerUploadCap: an upload past MaxBodyBytes is refused whole with
+// bad_request, and nothing is registered under its name.
+func TestServerUploadCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
+	facts := make([]string, 100)
+	for i := range facts {
+		facts[i] = fmt.Sprintf("R(%d,%d)", i, i+1)
+	}
+	var eb api.ErrorBody
+	status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/big", putDBRequest{Facts: facts}, &eb)
+	if status != http.StatusBadRequest || eb.Error == nil || eb.Error.Code != api.CodeBadRequest ||
+		!strings.Contains(eb.Error.Message, "request body too large") {
+		t.Fatalf("PUT past the cap: status %d body %+v, want 400 bad_request (request body too large)", status, eb.Error)
+	}
+	if status := doJSON(t, http.MethodGet, ts.URL+"/v1/db/big", nil, nil); status != http.StatusNotFound {
+		t.Fatalf("GET after a refused upload: status %d, want 404", status)
 	}
 }
 
@@ -378,13 +411,8 @@ func TestServerReuploadEvictsIRs(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: engine.Config{IRCacheSize: 4}})
 	solve := func(wantRho int) {
 		t.Helper()
-		var resp solveResponse
-		if status := doJSON(t, http.MethodPost, ts.URL+"/solve",
-			solveRequest{Query: "qchain :- R(x,y), R(y,z)", DB: "toy"}, &resp); status != http.StatusOK {
-			t.Fatalf("solve: status %d", status)
-		}
-		if resp.Rho != wantRho {
-			t.Fatalf("ρ = %d, want %d", resp.Rho, wantRho)
+		if got := solveRho(t, ts.URL, "toy"); got != wantRho {
+			t.Fatalf("ρ = %d, want %d", got, wantRho)
 		}
 	}
 
@@ -396,7 +424,7 @@ func TestServerReuploadEvictsIRs(t *testing.T) {
 		if i%2 == 1 {
 			facts = append(facts, "R(3,4)") // different contents, ρ stays 2
 		}
-		if status := doJSON(t, http.MethodPut, ts.URL+"/db/toy", putDBRequest{Facts: facts}, nil); status != http.StatusOK {
+		if status := doJSON(t, http.MethodPut, ts.URL+"/v1/db/toy", putDBRequest{Facts: facts}, nil); status != http.StatusOK {
 			t.Fatalf("PUT round %d: status %d", i, status)
 		}
 		solve(2)
@@ -411,7 +439,7 @@ func TestServerReuploadEvictsIRs(t *testing.T) {
 	}
 
 	// Deleting the database retires its IRs the same way.
-	if status := doJSON(t, http.MethodDelete, ts.URL+"/db/toy", nil, nil); status != http.StatusNoContent {
+	if status := doJSON(t, http.MethodDelete, ts.URL+"/v1/db/toy", nil, nil); status != http.StatusNoContent {
 		t.Fatalf("DELETE: status %d", status)
 	}
 }

@@ -64,7 +64,7 @@ func (sw *streamWriter) emit(res *api.Result) error {
 // per increment and a final line with the totals).
 func (s *Server) handleV1Task(w http.ResponseWriter, r *http.Request) {
 	var task api.Task
-	if !s.decodeV1(w, r, &task) {
+	if !s.decode(w, r, &task) {
 		return
 	}
 	// A watch is long-lived by design: the server's default request budget
@@ -83,7 +83,7 @@ func (s *Server) handleV1Task(w http.ResponseWriter, r *http.Request) {
 		// the status line is available. Only failures after the first
 		// emitted line travel in-band.
 		if err := s.sess.Check(task); err != nil {
-			s.writeV1Error(w, err)
+			s.writeError(w, err)
 			return
 		}
 		sw := newStreamWriter(w)
@@ -92,7 +92,7 @@ func (s *Server) handleV1Task(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.sess.Do(ctx, task)
 	if err != nil {
-		s.writeV1Error(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -105,11 +105,11 @@ func (s *Server) handleV1Task(w http.ResponseWriter, r *http.Request) {
 // enumerate tasks streaming their partial set lines too.
 func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
-	if !s.decodeV1(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.Tasks) == 0 {
-		s.writeV1Error(w, api.Errorf(api.CodeBadRequest, "tasks must be non-empty"))
+		s.writeError(w, api.Errorf(api.CodeBadRequest, "tasks must be non-empty"))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, 0)
@@ -130,12 +130,12 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 // admission slot — the job workers bound execution concurrency instead.
 func (s *Server) handleV1SubmitJob(w http.ResponseWriter, r *http.Request) {
 	var task api.Task
-	if !s.decodeV1(w, r, &task) {
+	if !s.decode(w, r, &task) {
 		return
 	}
 	job, err := s.jobs.submit(task)
 	if err != nil {
-		s.writeV1Error(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, job)
@@ -150,7 +150,7 @@ func (s *Server) handleV1ListJobs(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case "", api.JobQueued, api.JobRunning, api.JobDone, api.JobFailed, api.JobCanceled:
 	default:
-		s.writeV1Error(w, api.Errorf(api.CodeBadRequest,
+		s.writeError(w, api.Errorf(api.CodeBadRequest,
 			"unknown state %q (want queued, running, done, failed or canceled)", state))
 		return
 	}
@@ -158,7 +158,7 @@ func (s *Server) handleV1ListJobs(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			s.writeV1Error(w, api.Errorf(api.CodeBadRequest, "bad limit %q", raw))
+			s.writeError(w, api.Errorf(api.CodeBadRequest, "bad limit %q", raw))
 			return
 		}
 		limit = n
@@ -169,7 +169,7 @@ func (s *Server) handleV1ListJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleV1GetJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		s.writeV1Error(w, api.Errorf(api.CodeUnknownJob, "no job %q", r.PathValue("id")))
+		s.writeError(w, api.Errorf(api.CodeUnknownJob, "no job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
@@ -181,7 +181,7 @@ func (s *Server) handleV1GetJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleV1CancelJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.cancel(r.PathValue("id"))
 	if !ok {
-		s.writeV1Error(w, api.Errorf(api.CodeUnknownJob, "no job %q", r.PathValue("id")))
+		s.writeError(w, api.Errorf(api.CodeUnknownJob, "no job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, job)

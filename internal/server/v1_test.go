@@ -377,8 +377,7 @@ func TestV1JobQueueOverload(t *testing.T) {
 	}
 }
 
-// TestV1DBTypedErrors: the /v1/db routes answer the typed v1 error body
-// (the legacy /db routes keep the flat legacy shape).
+// TestV1DBTypedErrors: the /v1/db routes answer the typed v1 error body.
 func TestV1DBTypedErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var eb api.ErrorBody

@@ -38,7 +38,8 @@ type Instance struct {
 	unbreakable bool
 	// weights holds per-tuple deletion costs, indexed by tuple id. nil means
 	// every tuple costs 1 (the cardinality case); non-nil weights are all
-	// >= 1, which every weighted bound and budget computation relies on.
+	// >= 1, which every weighted bound and budget computation relies on,
+	// and WithWeights caps their total at MaxTotalWeight.
 	weights []int64
 	// base is the unweighted instance a weighted view was derived from
 	// (WithWeights): the view's component split re-costs base's. nil
@@ -136,6 +137,11 @@ func (in *Instance) Weight(id int32) int64 {
 	return in.weights[id]
 }
 
+// MaxTotalWeight bounds the sum of a weighted instance's deletion costs.
+// The solvers add costs as plain int64 (a set's cost, a bound plus a
+// cost); with every cost sum at most 2^62, none of them can wrap.
+const MaxTotalWeight = 1 << 62
+
 // WithWeights returns a derived instance over the same witness hypergraph
 // with per-tuple deletion costs attached: the tuple universe and rows are
 // shared (witness enumeration is never repaid), and so is the component
@@ -143,17 +149,24 @@ func (in *Instance) Weight(id int32) int64 {
 // instance's with the costs attached, and their fingerprints reuse the
 // base components' rendering. The families and the kernel are private to
 // the view, because kernelization's domination rule is weight-sensitive.
-// weights is indexed by tuple id, must cover the whole universe, and every
-// cost must be >= 1. The base instance is not modified; cached unweighted
-// IRs stay valid for concurrent requests.
+// weights is indexed by tuple id, must cover the whole universe, every
+// cost must be >= 1, and the costs must total at most MaxTotalWeight. The
+// base instance is not modified; cached unweighted IRs stay valid for
+// concurrent requests.
 func (in *Instance) WithWeights(weights []int64) (*Instance, error) {
 	if len(weights) != len(in.tuples) {
 		return nil, fmt.Errorf("witset: %d weights for a universe of %d tuples", len(weights), len(in.tuples))
 	}
+	var total int64
 	for _, w := range weights {
 		if w < 1 {
 			return nil, fmt.Errorf("witset: tuple weight %d is below 1", w)
 		}
+		// total <= MaxTotalWeight here, so the subtraction cannot wrap.
+		if w > MaxTotalWeight-total {
+			return nil, fmt.Errorf("witset: tuple weights total more than 2^62")
+		}
+		total += w
 	}
 	// A view of a view re-costs the same unweighted split; a weighted
 	// instance of no view (a delta's result) has none to offer.

@@ -57,6 +57,36 @@ func TestBuildChain(t *testing.T) {
 	}
 }
 
+// TestWithWeightsTotalBound: a cost vector may total exactly
+// MaxTotalWeight; one more, or a pair whose sum would wrap int64, is
+// rejected.
+func TestWithWeightsTotalBound(t *testing.T) {
+	q, d := chainInstance(t)
+	inst, err := Build(context.Background(), q, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxInt64 = 1<<63 - 1
+	cases := []struct {
+		weights []int64
+		ok      bool
+	}{
+		{[]int64{MaxTotalWeight - 2, 1, 1}, true},
+		{[]int64{1, MaxTotalWeight - 2, 2}, false},
+		{[]int64{1, maxInt64, maxInt64}, false},
+		{[]int64{MaxTotalWeight, MaxTotalWeight, 1}, false},
+	}
+	for i, c := range cases {
+		view, err := inst.WithWeights(c.weights)
+		if c.ok && (err != nil || view == nil) {
+			t.Errorf("case %d: %v, want accepted", i, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("case %d: accepted a total above 2^62", i)
+		}
+	}
+}
+
 func TestBuildUnbreakable(t *testing.T) {
 	q := cq.MustParse("q :- R(x,y)^x")
 	d := db.New()

@@ -220,9 +220,9 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // end over a task-API Session with a named-database registry (upload once
 // via PUT /v1/db/{name}, solve many queries against it), the versioned
 // /v1 task surface (generic dispatch over the Task envelope, NDJSON
-// streaming, async jobs), legacy endpoint shims, a cross-request
-// witness-IR cache, admission control with 429 backpressure, per-request
-// timeouts, and /metrics + /healthz endpoints. It implements
+// streaming, async jobs), a cross-request witness-IR cache, admission
+// control with 429 backpressure, per-request timeouts, and /metrics +
+// /healthz endpoints. It implements
 // http.Handler; cmd/resilserverd is the ready-made daemon around it.
 // Call Close on shutdown to stop the async-job workers.
 //
